@@ -9,8 +9,8 @@
     Events recorded inside {!Trace.in_replica} (carrying a ["replica"]
     attribute) are routed to a per-replica Perfetto process: replica [n]
     renders under pid [n+2] named ["<process_name> replica n"], with the
-    attribute consumed rather than shown as an arg. Traces without replica
-    attributes render exactly as before (single process, pid 1). *)
+    attribute consumed rather than shown as an arg. A trace without replica
+    attributes renders exactly as before (single process, pid 1). *)
 
 (** Still-open spans are closed at the trace's current time. *)
 val of_trace : ?process_name:string -> Trace.t -> Json.t

@@ -28,9 +28,8 @@ type t = {
     entry replayed by {!rollback_journal} — with the byte span
     [start, len) the mutation dirties: the wider of the old and new
     encodings at the keyed address, so a write whose encoding overlays
-    neighbouring instructions reports the full overlap. The execution
-    engines use this as their cache-invalidation feed; several engines may
-    watch the same address space at once. *)
+    neighbouring instructions reports the full overlap. The block engine
+    uses this as its cache-invalidation feed. *)
 val add_code_watcher : t -> (int -> int -> unit) -> unit
 
 val read_data : t -> int -> int

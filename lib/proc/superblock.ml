@@ -1,627 +1,7 @@
-(* Superblock/trace execution tier.
-
-   [Block_engine] executes one decoded basic block per dispatch, but every
-   block exit still pays a dispatch — memo checks, a hash-table lookup, loop
-   bookkeeping — and every indirect call re-resolves its target. This tier
-   removes both costs the way OCamlJIT 2.0 and trace-based binary optimizers
-   do:
-
-   - Exit chaining: each cached block (a [node]) memoizes the successor
-     node its exit last transferred to ([n_l1]/[n_l2], most-recent-first).
-     When a run completes at a control transfer, the next dispatch checks
-     the exit's links before touching the hash table; a hit costs one
-     pointer compare and one pc compare.
-
-   - Monomorphic inline caches: exits through [IndCall]/[IndJump] use a
-     dedicated slot ([n_ic]) that memoizes the last resolved target,
-     guarded by the pc the transfer actually reached. A megamorphic site
-     degrades to the table path, never to wrong execution.
-
-   - Superblocks: once a node has been dispatched [promote_after] times,
-     its memoized successors are stitched into a single flattened run
-     (a trace) spanning up to [sb_max_blocks] blocks. A hot multi-block
-     loop then executes as one run per iteration instead of one dispatch
-     per block. Internal control transfers carry a guard: after executing
-     a guarded entry, the run side-exits unless the thread's pc equals the
-     next entry's address — so a mispredicted branch, a megamorphic call,
-     or a changed return address merely falls back to a dispatch, exactly
-     where the reference interpreter would be.
-
-   Semantics are byte-identical to the reference interpreter and to
-   [Block_engine]: every instruction goes through the shared kernel
-   [Block_engine.execute], the inner loop re-checks the same step/cycle/
-   runnable conditions before each instruction, and all chaining state is
-   speculative-with-guard, so it can change *which lookup path found the
-   block*, never *what executes*.
-
-   Replacement safety mirrors [Block_engine] and goes through the same
-   watcher feed: the engine registers a code watcher, and every code-map
-   mutation — [Txn.replace_code] commits and journal-replay rollbacks
-   alike — kills every node and every superblock whose bytes overlap the
-   written span, bumps the generation (in-flight runs bail out), clears
-   the per-thread memo and chain state, and leaves dangling links
-   unfollowable behind [n_alive] guards. [validate] additionally sweeps
-   dead links so no stale chained exit survives a rollback. *)
-
-open Ocolos_isa
-
-type link = Nil | To of node
-
-and node = {
-  n_blk : Predecode.block;
-  n_run : run; (* the plain single-block run *)
-  n_ind_exit : bool; (* exit is IndCall/IndJump: chain via the IC slot *)
-  mutable n_sb : run; (* run dispatched at this entry; == [n_run] until promoted *)
-  mutable n_hits : int; (* dispatch count; drives promotion *)
-  mutable n_l1 : link; (* most recent exit successor *)
-  mutable n_l2 : link; (* previous exit successor *)
-  mutable n_ic : link; (* monomorphic inline cache (indirect exits) *)
-  mutable n_alive : bool;
-}
-
-and run = {
-  r_body : Predecode.block; (* flattened entries; == [n_blk] for a plain run *)
-  r_guard : bool array;
-      (* [r_guard.(i)]: after executing entry [i], side-exit unless the
-         thread's pc equals entry [i+1]'s address — set at every internal
-         constituent boundary, never on the last entry *)
-  r_head : node; (* constituent owning the entry point *)
-  r_exit : node; (* constituent owning the final entry; links live here *)
-  r_exits : node array;
-      (* [r_exits.(i)]: the constituent node whose final entry is body
-         entry [i] ([nil_node] elsewhere). A guard failure at entry [i] is
-         a transfer out of that constituent's exit, so its links are the
-         chain source for the side exit — without this, every side exit
-         falls back to a table lookup. *)
-  r_nblocks : int;
-  mutable r_alive : bool;
-}
-
-let empty_block =
-  { Predecode.b_start = -1; b_end = -1; b_addrs = [||]; b_sizes = [||]; b_instrs = [||] }
-
-(* Sentinel for "no in-flight run" / "no chain source": dead, empty, with an
-   impossible start, so every memo and chain check fails without options. *)
-let rec nil_node =
-  { n_blk = empty_block;
-    n_run = nil_run;
-    n_ind_exit = false;
-    n_sb = nil_run;
-    n_hits = 0;
-    n_l1 = Nil;
-    n_l2 = Nil;
-    n_ic = Nil;
-    n_alive = false }
-
-and nil_run =
-  { r_body = empty_block;
-    r_guard = [||];
-    r_head = nil_node;
-    r_exit = nil_node;
-    r_exits = [||];
-    r_nblocks = 0;
-    r_alive = false }
-
-let node_of_block (blk : Predecode.block) =
-  let len = Predecode.length blk in
-  let ind_exit =
-    len > 0
-    &&
-    match blk.Predecode.b_instrs.(len - 1) with
-    | Instr.CallInd _ | Instr.JumpInd _ -> true
-    | _ -> false
-  in
-  let guard = Array.make len false in
-  let exits = Array.make len nil_node in
-  let rec node =
-    { n_blk = blk;
-      n_run = run;
-      n_ind_exit = ind_exit;
-      n_sb = run;
-      n_hits = 0;
-      n_l1 = Nil;
-      n_l2 = Nil;
-      n_ic = Nil;
-      n_alive = true }
-  and run =
-    { r_body = blk;
-      r_guard = guard;
-      r_head = node;
-      r_exit = node;
-      r_exits = exits;
-      r_nblocks = 1;
-      r_alive = true }
-  in
-  if len > 0 then exits.(len - 1) <- node;
-  node
-
-type stats = {
+(* Kept only because the frozen campaign benchmark names these fields. *)
+type stats = Block_engine.stats = {
   decodes : int;
   dispatches : int;
-  resumes : int;
-  chained : int;
-  chain_misses : int;
-  ic_hits : int;
-  ic_misses : int;
-  promotions : int;
-  superblocks : int;
   invalidations : int;
   resident : int;
 }
-
-type t = {
-  mem : Addr_space.t;
-  nodes : (int, node) Hashtbl.t; (* entry address -> live node *)
-  dmap : node array;
-      (* direct-mapped front cache over [nodes], keyed by the entry
-         address's low bits. A probe is one load and two compares with no
-         allocation, where [Hashtbl.find_opt] hashes, chases a bucket and
-         boxes the result — the difference is most of the cost of the
-         dispatches the chain links can't predict (returns from shared
-         functions see one target per call site, more than L1/L2 hold).
-         Purely a cache: collisions evict, probes are guarded by [n_alive]
-         and an exact entry-address compare, and [kill_node] clears the
-         slot, so it can never resurrect replaced code. *)
-  cover : (int, node list) Hashtbl.t; (* code byte -> live nodes spanning it *)
-  scover : (int, run list) Hashtbl.t; (* code byte -> live superblocks spanning it *)
-  memo : run array; (* per-tid in-flight run ([nil_run] = none) ... *)
-  memo_idx : int array; (* ... and the entry index to resume at *)
-  chain : link array; (* per-tid exit node of the last completed run *)
-  promote_after : int;
-  sb_max_blocks : int;
-  sb_max_entries : int;
-  mutable gen : int; (* bumped on every code write; guards in-flight runs *)
-  mutable decodes : int;
-  mutable dispatches : int;
-  mutable resumes : int;
-  mutable chained : int;
-  mutable chain_misses : int;
-  mutable ic_hits : int;
-  mutable ic_misses : int;
-  mutable promotions : int;
-  mutable invalidations : int;
-  mutable resident_acc : int;
-      (* incremental node count; [n_alive]-guarded so a node can never be
-         dropped twice, and [validate] asserts it equals the table size *)
-  mutable sb_live : int; (* live superblocks, same discipline via [r_alive] *)
-}
-
-(* Apply [f byte] for every byte of every entry of [b]. *)
-let iter_body_bytes (b : Predecode.block) f =
-  Array.iteri
-    (fun i addr ->
-      let size = Array.unsafe_get b.Predecode.b_sizes i in
-      for j = 0 to size - 1 do
-        f (addr + j)
-      done)
-    b.Predecode.b_addrs
-
-let index_add tbl key v =
-  let l = match Hashtbl.find_opt tbl key with Some l -> l | None -> [] in
-  if not (List.memq v l) then Hashtbl.replace tbl key (v :: l)
-
-let index_remove tbl key v =
-  match Hashtbl.find_opt tbl key with
-  | None -> ()
-  | Some l -> (
-    match List.filter (fun x -> x != v) l with
-    | [] -> Hashtbl.remove tbl key
-    | rest -> Hashtbl.replace tbl key rest)
-
-let dmap_bits = 14
-let dmap_slot pc = pc land ((1 lsl dmap_bits) - 1)
-
-let register_node t n =
-  let start = n.n_blk.Predecode.b_start in
-  Hashtbl.replace t.nodes start n;
-  Array.unsafe_set t.dmap (dmap_slot start) n;
-  iter_body_bytes n.n_blk (fun byte -> index_add t.cover byte n);
-  t.resident_acc <- t.resident_acc + 1
-
-(* Guarded by the caller's [n_alive] check: a node spans several bytes of
-   the invalidated span, so the kill must be idempotent or [resident_acc]
-   and [invalidations] would drift (the satellite-3 bug class). *)
-let kill_node t n =
-  n.n_alive <- false;
-  n.n_run.r_alive <- false;
-  let start = n.n_blk.Predecode.b_start in
-  Hashtbl.remove t.nodes start;
-  if Array.unsafe_get t.dmap (dmap_slot start) == n then
-    Array.unsafe_set t.dmap (dmap_slot start) nil_node;
-  iter_body_bytes n.n_blk (fun byte -> index_remove t.cover byte n);
-  t.resident_acc <- t.resident_acc - 1;
-  t.invalidations <- t.invalidations + 1
-
-let register_run t r =
-  iter_body_bytes r.r_body (fun byte -> index_add t.scover byte r);
-  t.sb_live <- t.sb_live + 1
-
-let kill_run t r =
-  r.r_alive <- false;
-  iter_body_bytes r.r_body (fun byte -> index_remove t.scover byte r);
-  (* demote the head back to its plain run so future dispatches there don't
-     re-enter the dead trace *)
-  if r.r_head.n_alive && r.r_head.n_sb == r then r.r_head.n_sb <- r.r_head.n_run;
-  t.sb_live <- t.sb_live - 1
-
-(* A code write dirtying bytes [start, start+len): kill every node and every
-   superblock overlapping the span, bump the generation so in-flight runs
-   bail out, and clear the per-thread memo/chain state. Links into killed
-   nodes stay unfollowable behind their [n_alive] guards until [validate]
-   sweeps them. *)
-let invalidate t ~start ~len =
-  t.gen <- t.gen + 1;
-  for off = 0 to len - 1 do
-    let byte = start + off in
-    (match Hashtbl.find_opt t.cover byte with
-    | None -> ()
-    | Some ns -> List.iter (fun n -> if n.n_alive then kill_node t n) ns);
-    match Hashtbl.find_opt t.scover byte with
-    | None -> ()
-    | Some rs -> List.iter (fun r -> if r.r_alive then kill_run t r) rs
-  done;
-  Array.fill t.memo 0 (Array.length t.memo) nil_run;
-  Array.fill t.memo_idx 0 (Array.length t.memo_idx) 0;
-  Array.fill t.chain 0 (Array.length t.chain) Nil
-
-let create ?(promote_after = 16) ?(sb_max_blocks = 16) ?(sb_max_entries = 256) ~nthreads mem =
-  let nthreads = max 1 nthreads in
-  let t =
-    { mem;
-      nodes = Hashtbl.create 1024;
-      dmap = Array.make (1 lsl dmap_bits) nil_node;
-      cover = Hashtbl.create 4096;
-      scover = Hashtbl.create 1024;
-      memo = Array.make nthreads nil_run;
-      memo_idx = Array.make nthreads 0;
-      chain = Array.make nthreads Nil;
-      promote_after = max 1 promote_after;
-      sb_max_blocks = max 2 sb_max_blocks;
-      sb_max_entries = max 2 sb_max_entries;
-      gen = 0;
-      decodes = 0;
-      dispatches = 0;
-      resumes = 0;
-      chained = 0;
-      chain_misses = 0;
-      ic_hits = 0;
-      ic_misses = 0;
-      promotions = 0;
-      invalidations = 0;
-      resident_acc = 0;
-      sb_live = 0 }
-  in
-  Addr_space.add_code_watcher mem (fun start len -> invalidate t ~start ~len);
-  t
-
-let decode_node t (thread : Thread.t) pc =
-  let d = Array.unsafe_get t.dmap (dmap_slot pc) in
-  if d.n_alive && d.n_blk.Predecode.b_start = pc then d
-  else
-    match Hashtbl.find_opt t.nodes pc with
-    | Some n ->
-      (* collision victim: reinstate it as the slot's occupant *)
-      Array.unsafe_set t.dmap (dmap_slot pc) n;
-      n
-    | None -> (
-      match Predecode.decode ~read:(fun a -> Addr_space.read_code t.mem a) pc with
-      | Some b ->
-        t.decodes <- t.decodes + 1;
-        let n = node_of_block b in
-        register_node t n;
-        n
-      | None -> Block_engine.fault_unmapped thread ~pc)
-
-(* The likely successor of [n]'s exit, for trace formation only — execution
-   never trusts it without a guard. Static transfers resolve themselves;
-   conditional exits use the most recent chained target; indirect exits use
-   the inline cache; returns and halts end the trace (a return address is a
-   property of the call stack, not the code). A non-control-flow final
-   entry means the decoder stopped at [max_len] or unmapped code, so the
-   only successor is the contiguous fallthrough. Successors are only taken
-   from the cache — a trace stitches blocks that are already hot. *)
-let successor_of t n =
-  let blk = n.n_blk in
-  let len = Predecode.length blk in
-  if len = 0 then None
-  else
-    match blk.Predecode.b_instrs.(len - 1) with
-    | Instr.Jump target | Instr.Call target -> Hashtbl.find_opt t.nodes target
-    | Instr.Branch _ -> (
-      match n.n_l1 with To s when s.n_alive -> Some s | _ -> None)
-    | Instr.CallInd _ | Instr.JumpInd _ -> (
-      match n.n_ic with To s when s.n_alive -> Some s | _ -> None)
-    | Instr.Ret | Instr.Halt -> None
-    | _ -> Hashtbl.find_opt t.nodes blk.Predecode.b_end
-
-(* Stitch a superblock starting at [head]: follow memoized successors until
-   a trace-ending exit, a block already in the trace (the loop closes via
-   exit chaining instead), or the size caps. Only traces of >= 2 blocks are
-   materialized. *)
-let promote t head =
-  let rec walk acc entries count cur =
-    if count >= t.sb_max_blocks then List.rev acc
-    else
-      match successor_of t cur with
-      | None -> List.rev acc
-      | Some s ->
-        if List.memq s acc then List.rev acc
-        else
-          let entries = entries + Predecode.length s.n_blk in
-          if entries > t.sb_max_entries then List.rev acc
-          else walk (s :: acc) entries (count + 1) s
-  in
-  let nodes = walk [head] (Predecode.length head.n_blk) 1 head in
-  match nodes with
-  | [] | [_] -> ()
-  | _ ->
-    let body = Predecode.concat (List.map (fun nd -> nd.n_blk) nodes) in
-    let guard = Array.make (Predecode.length body) false in
-    let exits = Array.make (Predecode.length body) nil_node in
-    let off = ref 0 in
-    let rec mark = function
-      | [] | [_] -> ()
-      | nd :: rest ->
-        off := !off + Predecode.length nd.n_blk;
-        guard.(!off - 1) <- true;
-        exits.(!off - 1) <- nd;
-        mark rest
-    in
-    mark nodes;
-    let exit = List.nth nodes (List.length nodes - 1) in
-    exits.(Predecode.length body - 1) <- exit;
-    let run =
-      { r_body = body;
-        r_guard = guard;
-        r_head = head;
-        r_exit = exit;
-        r_exits = exits;
-        r_nblocks = List.length nodes;
-        r_alive = true }
-    in
-    register_run t run;
-    head.n_sb <- run;
-    t.promotions <- t.promotions + 1
-
-(* Resolve the run to execute at [pc] and the entry index to start from.
-
-   Priority: resume the thread's in-flight run (a quantum boundary landed
-   inside it), loop back to its start, follow the chain from the exit of
-   the last completed run (IC slot for indirect exits, L1/L2 otherwise),
-   and only then the table — decoding on miss. Every fast path is guarded
-   by liveness and an exact pc compare, so a stale memo or link can only
-   miss, never misdirect. *)
-let resolve t (thread : Thread.t) pc =
-  let tid = thread.Thread.tid in
-  let m = Array.unsafe_get t.memo tid in
-  let mi = Array.unsafe_get t.memo_idx tid in
-  let maddrs = m.r_body.Predecode.b_addrs in
-  if m.r_alive && mi < Array.length maddrs && Array.unsafe_get maddrs mi = pc then begin
-    t.resumes <- t.resumes + 1;
-    m
-  end
-  else if m.r_alive && m.r_body.Predecode.b_start = pc then begin
-    t.resumes <- t.resumes + 1;
-    Array.unsafe_set t.memo_idx tid 0;
-    m
-  end
-  else begin
-    let prev = Array.unsafe_get t.chain tid in
-    Array.unsafe_set t.chain tid Nil;
-    let node =
-      match prev with
-      | To e when e.n_alive ->
-        let hit =
-          if e.n_ind_exit then (
-            match e.n_ic with
-            | To s when s.n_alive && s.n_blk.Predecode.b_start = pc ->
-              t.ic_hits <- t.ic_hits + 1;
-              Some s
-            | _ ->
-              t.ic_misses <- t.ic_misses + 1;
-              None)
-          else
-            match e.n_l1 with
-            | To s when s.n_alive && s.n_blk.Predecode.b_start = pc ->
-              t.chained <- t.chained + 1;
-              Some s
-            | _ -> (
-              match e.n_l2 with
-              | To s when s.n_alive && s.n_blk.Predecode.b_start = pc ->
-                (* most-recent-first *)
-                e.n_l2 <- e.n_l1;
-                e.n_l1 <- To s;
-                t.chained <- t.chained + 1;
-                Some s
-              | _ ->
-                t.chain_misses <- t.chain_misses + 1;
-                None)
-        in
-        (match hit with
-        | Some s -> s
-        | None ->
-          let s = decode_node t thread pc in
-          (if e.n_ind_exit then e.n_ic <- To s
-           else begin
-             e.n_l2 <- e.n_l1;
-             e.n_l1 <- To s
-           end);
-          s)
-      | _ -> decode_node t thread pc
-    in
-    node.n_hits <- node.n_hits + 1;
-    if node.n_hits >= t.promote_after && node.n_sb == node.n_run then begin
-      node.n_hits <- 0;
-      promote t node
-    end;
-    Array.unsafe_set t.memo tid node.n_sb;
-    Array.unsafe_set t.memo_idx tid 0;
-    node.n_sb
-  end
-
-(* Run [thread] for up to [max_steps] instructions or until it stops being
-   runnable or reaches [cycle_limit]. An instruction executes here iff the
-   reference inner loop (Proc.run) would execute it: the same conditions
-   are re-checked before every single instruction, and a failed trace
-   guard only ends the run early — the next dispatch starts from the
-   thread's actual pc, exactly like the reference. *)
-let exec t hooks (thread : Thread.t) ~max_steps ~cycle_limit =
-  let core = thread.Thread.core in
-  let check_cycles = cycle_limit <> infinity in
-  let n = ref 0 in
-  while
-    !n < max_steps
-    && Thread.is_running thread
-    && ((not check_cycles) || Ocolos_uarch.Core.cycles core < cycle_limit)
-  do
-    let tid = thread.Thread.tid in
-    let run = resolve t thread thread.Thread.pc in
-    t.dispatches <- t.dispatches + 1;
-    let gen0 = t.gen in
-    let addrs = run.r_body.Predecode.b_addrs in
-    let sizes = run.r_body.Predecode.b_sizes in
-    let instrs = run.r_body.Predecode.b_instrs in
-    let guard = run.r_guard in
-    let len = Array.length instrs in
-    let k = ref (Array.unsafe_get t.memo_idx tid) in
-    let live = ref true in
-    let stop = min (!n + (len - !k)) max_steps in
-    while
-      !live
-      && !n < stop
-      && t.gen = gen0
-      && ((not check_cycles) || Ocolos_uarch.Core.cycles core < cycle_limit)
-    do
-      let i = !k in
-      Block_engine.execute t.mem hooks thread ~pc:(Array.unsafe_get addrs i)
-        ~size:(Array.unsafe_get sizes i)
-        (Array.unsafe_get instrs i);
-      incr n;
-      incr k;
-      if not (Thread.is_running thread) then live := false
-      else if Array.unsafe_get guard i && thread.Thread.pc <> Array.unsafe_get addrs !k then
-        (* trace guard: the internal transfer went off-trace; fall back to a
-           dispatch at the thread's actual pc *)
-        live := false
-    done;
-    (* Save the resume point and chain source — but never after an
-       invalidation, which cleared both precisely because this run may be
-       stale. The chain is armed by a transfer out of the run: a completed
-       run chains from its exit node, and a failed trace guard chains from
-       the constituent node that ended at the guard position — that node's
-       links are exactly where the off-trace target lives. A budget or
-       cycle stop (pc still on-trace) arms nothing; the memo resumes it. *)
-    if t.gen = gen0 then begin
-      Array.unsafe_set t.memo_idx tid !k;
-      Array.unsafe_set t.chain tid
-        (if not (Thread.is_running thread) then Nil
-         else if !k = len then To run.r_exit
-         else if
-           !k > 0
-           && Array.unsafe_get guard (!k - 1)
-           && thread.Thread.pc <> Array.unsafe_get addrs !k
-         then To (Array.unsafe_get run.r_exits (!k - 1))
-         else Nil)
-    end
-  done;
-  !n
-
-let stats t =
-  { decodes = t.decodes;
-    dispatches = t.dispatches;
-    resumes = t.resumes;
-    chained = t.chained;
-    chain_misses = t.chain_misses;
-    ic_hits = t.ic_hits;
-    ic_misses = t.ic_misses;
-    promotions = t.promotions;
-    superblocks = t.sb_live;
-    invalidations = t.invalidations;
-    resident = Hashtbl.length t.nodes }
-
-(* Sweep-then-check. The sweep clears every link that points at a dead node
-   (so no stale chained exit survives a commit or rollback); the check then
-   asserts the full cache discipline: every cached node is alive, coherent
-   with the code map and correctly keyed; every promoted superblock is
-   alive and coherent; every surviving link and per-thread memo/chain slot
-   targets live state; and the incremental resident count matches the
-   table. [Txn.replace_code] runs this after both commit and rollback. *)
-let validate t =
-  let read a = Addr_space.read_code t.mem a in
-  let scrub = function To s when not s.n_alive -> Nil | l -> l in
-  Hashtbl.iter
-    (fun _ n ->
-      n.n_l1 <- scrub n.n_l1;
-      n.n_l2 <- scrub n.n_l2;
-      n.n_ic <- scrub n.n_ic)
-    t.nodes;
-  let ok = ref (t.resident_acc = Hashtbl.length t.nodes) in
-  let link_ok = function
-    | Nil -> true
-    | To s ->
-      s.n_alive
-      && (match Hashtbl.find_opt t.nodes s.n_blk.Predecode.b_start with
-         | Some s' -> s' == s
-         | None -> false)
-  in
-  Hashtbl.iter
-    (fun start n ->
-      if
-        not
-          (n.n_alive
-          && n.n_blk.Predecode.b_start = start
-          && Predecode.coherent ~read n.n_blk
-          && n.n_run.r_alive
-          && link_ok n.n_l1 && link_ok n.n_l2 && link_ok n.n_ic
-          && (n.n_sb == n.n_run
-             || (n.n_sb.r_alive && Predecode.coherent ~read n.n_sb.r_body)))
-      then ok := false)
-    t.nodes;
-  Array.iter (fun m -> if not (m == nil_run || m.r_alive) then ok := false) t.memo;
-  Array.iter (fun c -> if not (link_ok c) then ok := false) t.chain;
-  !ok
-
-(* Every code address the engine holds a live reference to: node keys,
-   chained-exit and inline-cache targets, the direct-mapped front table and
-   each thread's resume memo. OCOLOS's post-GC reachability scanner audits
-   these — live state pointing into unmapped code means the invalidation
-   feed missed a write. *)
-let code_pointers t =
-  let link acc label = function
-    | To n when n.n_alive -> (label, n.n_blk.Predecode.b_start) :: acc
-    | To _ | Nil -> acc
-  in
-  let acc = ref [] in
-  Hashtbl.iter (fun start _ -> acc := ("node", start) :: !acc) t.nodes;
-  Hashtbl.iter
-    (fun _ n ->
-      if n.n_alive then begin
-        acc := link !acc "l1" n.n_l1;
-        acc := link !acc "l2" n.n_l2;
-        acc := link !acc "ic" n.n_ic
-      end)
-    t.nodes;
-  Array.iteri
-    (fun tid run ->
-      if run != nil_run && run.r_alive then begin
-        acc := ("trace_memo", run.r_body.Predecode.b_start) :: !acc;
-        let k = Array.unsafe_get t.memo_idx tid in
-        if k < Array.length run.r_body.Predecode.b_addrs then
-          acc := ("trace_resume", run.r_body.Predecode.b_addrs.(k)) :: !acc
-      end)
-    t.memo;
-  Array.iter (fun c -> acc := link !acc "chain" c) t.chain;
-  Array.iter
-    (fun n ->
-      if n != nil_node && n.n_alive then
-        acc := ("dmap", n.n_blk.Predecode.b_start) :: !acc)
-    t.dmap;
-  !acc
-
-(* OCOLOS migrated paused threads to another code version: per-thread resume
-   memos and chain sources describe where the threads *were*, so drop them.
-   Cached nodes over surviving code remain valid. *)
-let on_threads_migrated t =
-  Array.fill t.memo 0 (Array.length t.memo) nil_run;
-  Array.fill t.memo_idx 0 (Array.length t.memo_idx) 0;
-  Array.fill t.chain 0 (Array.length t.chain) Nil

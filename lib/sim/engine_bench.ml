@@ -1,18 +1,23 @@
-(* Microbenchmark comparing the three execution engines.
+(* Microbenchmark comparing the decoded-block engine against the reference
+   interpreter.
 
    Each measurement launches a fresh process (same binary, input and seed),
-   runs exactly [max_instrs] instructions under one engine, and reports
-   instructions per wall-clock second. Repeats keep the best (minimum-wall)
-   run, the standard way to strip scheduler noise from a throughput
-   microbenchmark. Since both engines are deterministic over the same
-   workload and seed, the final uarch counters must match bit for bit;
-   [compare_engines] checks that alongside the speedup. *)
+   runs exactly [max_instrs] instructions under one engine, and times it.
+   Runs come in (reference, blocks) pairs, interleaved so ambient machine
+   load perturbs both halves of a pair alike; the order inside a pair
+   alternates so neither engine always runs on the heap the other left
+   behind. Each pair yields one speedup ratio, and the comparison reports
+   the median ratio with its interquartile range — a point estimate that a
+   single noisy pair cannot move, unlike a best-of-N ratio. Both engines
+   are deterministic over the same workload and seed, so the final uarch
+   counters must match bit for bit; [compare_engines] checks that too. *)
 
 open Ocolos_workloads
+module Stats = Ocolos_util.Stats
 
 type engine_sample = {
-  wall_s : float; (* best-of-repeats wall time *)
-  instructions : int; (* instructions retired in the measured run *)
+  wall_s : float; (* median wall time over the repeats *)
+  instructions : int; (* instructions retired in a measured run *)
   ips : float; (* instructions / wall_s *)
 }
 
@@ -20,86 +25,67 @@ type comparison = {
   workload : string;
   input : string;
   instructions : int;
+  repeats : int; (* (reference, blocks) pairs measured *)
   reference : engine_sample;
   blocks : engine_sample;
-  traces : engine_sample;
-  speedup : float; (* blocks.ips / reference.ips *)
-  speedup_traces : float; (* traces.ips / reference.ips *)
-  traces_vs_blocks : float; (* traces.ips / blocks.ips *)
-  counters_equal : bool; (* final Counters.t bit-identical across all engines *)
+  speedup : float; (* median of per-pair reference_wall / blocks_wall *)
+  q1 : float; (* first quartile of the per-pair speedups *)
+  q3 : float; (* third quartile of the per-pair speedups *)
+  counters_equal : bool; (* final Counters.t bit-identical in every run *)
 }
 
 let default_max_instrs = 8_000_000
-let default_repeats = 4
+let default_repeats = 10
 
 (* One measured run: fresh process, [max_instrs] instructions, no cycle
-   horizon (the instruction budget is the stopping condition). *)
+   horizon (the instruction budget is the stopping condition). The major
+   heap is collected first so every run starts from the same GC state. *)
 let run_once ~engine ~max_instrs w ~input =
   let proc = Workload.launch w ~input in
+  Gc.full_major ();
   let t0 = Unix.gettimeofday () in
   Ocolos_proc.Proc.run proc ~engine ~max_instrs ~cycle_limit:infinity;
-  let wall = Unix.gettimeofday () -. t0 in
-  (match (Sys.getenv_opt "OCOLOS_BENCH_DEBUG", Ocolos_proc.Proc.trace_cache_stats proc) with
-  | Some _, Some s ->
-    Printf.eprintf
-      "DEBUG traces: decodes=%d dispatches=%d resumes=%d chained=%d chain_misses=%d \
-       ic_hits=%d ic_misses=%d promotions=%d superblocks=%d invalidations=%d resident=%d\n\
-       %!"
-      s.Ocolos_proc.Superblock.decodes s.Ocolos_proc.Superblock.dispatches
-      s.Ocolos_proc.Superblock.resumes s.Ocolos_proc.Superblock.chained
-      s.Ocolos_proc.Superblock.chain_misses s.Ocolos_proc.Superblock.ic_hits
-      s.Ocolos_proc.Superblock.ic_misses s.Ocolos_proc.Superblock.promotions
-      s.Ocolos_proc.Superblock.superblocks s.Ocolos_proc.Superblock.invalidations
-      s.Ocolos_proc.Superblock.resident
-  | _ -> ());
+  let wall = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
   (wall, proc.Ocolos_proc.Proc.instret, Ocolos_proc.Proc.total_counters proc)
 
-(* Repeats are interleaved round-robin across the engines (ref, blocks,
-   traces, ref, blocks, traces, ...) rather than measured engine-by-engine:
-   ambient machine load then perturbs every engine's repeat set alike, and
-   best-of still picks each engine's quietest window — the reported ratios
-   survive a noisy host that back-to-back per-engine windows would not. *)
-let measure_interleaved ~engines ~max_instrs ~repeats w ~input =
-  let n = Array.length engines in
-  let best_wall = Array.make n infinity in
-  let instructions = Array.make n 0 in
-  let counters = Array.make n Ocolos_uarch.Counters.zero in
-  for _ = 1 to max 1 repeats do
-    Array.iteri
-      (fun i engine ->
-        let wall, instret, c = run_once ~engine ~max_instrs w ~input in
-        if wall < best_wall.(i) then best_wall.(i) <- wall;
-        instructions.(i) <- instret;
-        counters.(i) <- c)
-      engines
-  done;
-  Array.init n (fun i ->
-      let wall_s = Float.max best_wall.(i) 1e-9 in
-      ( { wall_s;
-          instructions = instructions.(i);
-          ips = float_of_int instructions.(i) /. wall_s },
-        counters.(i) ))
+let sample walls instructions =
+  let wall_s = Stats.median walls in
+  { wall_s; instructions; ips = float_of_int instructions /. wall_s }
 
 let compare_engines ?(repeats = default_repeats) ?(max_instrs = default_max_instrs) w
     ~input =
-  let results =
-    measure_interleaved
-      ~engines:[| `Reference; `Blocks; `Traces |]
-      ~max_instrs ~repeats w ~input
+  let repeats = max 1 repeats in
+  let ref_walls = Array.make repeats 0.0 and blk_walls = Array.make repeats 0.0 in
+  let first = ref None and instructions = ref 0 and counters_equal = ref true in
+  let measure engine walls i =
+    let wall, instret, c = run_once ~engine ~max_instrs w ~input in
+    walls.(i) <- wall;
+    instructions := instret;
+    match !first with
+    | None -> first := Some (instret, c)
+    | Some r -> if r <> (instret, c) then counters_equal := false
   in
-  let reference, ref_counters = results.(0) in
-  let blocks, blk_counters = results.(1) in
-  let traces, trc_counters = results.(2) in
+  for i = 0 to repeats - 1 do
+    if i mod 2 = 0 then begin
+      measure `Reference ref_walls i;
+      measure `Blocks blk_walls i
+    end
+    else begin
+      measure `Blocks blk_walls i;
+      measure `Reference ref_walls i
+    end
+  done;
+  let ratios = Array.init repeats (fun i -> ref_walls.(i) /. blk_walls.(i)) in
   { workload = w.Workload.name;
     input = input.Input.name;
-    instructions = blocks.instructions;
-    reference;
-    blocks;
-    traces;
-    speedup = blocks.ips /. reference.ips;
-    speedup_traces = traces.ips /. reference.ips;
-    traces_vs_blocks = traces.ips /. blocks.ips;
-    counters_equal = ref_counters = blk_counters && ref_counters = trc_counters }
+    instructions = !instructions;
+    repeats;
+    reference = sample ref_walls !instructions;
+    blocks = sample blk_walls !instructions;
+    speedup = Stats.median ratios;
+    q1 = Stats.percentile ratios 25.0;
+    q3 = Stats.percentile ratios 75.0;
+    counters_equal = !counters_equal }
 
 let sample_to_json s =
   Ocolos_obs.Json.Obj
@@ -113,10 +99,10 @@ let to_json c =
       ("workload", Ocolos_obs.Json.String c.workload);
       ("input", Ocolos_obs.Json.String c.input);
       ("instructions", Ocolos_obs.Json.Int c.instructions);
+      ("repeats", Ocolos_obs.Json.Int c.repeats);
       ("reference", sample_to_json c.reference);
       ("blocks", sample_to_json c.blocks);
-      ("traces", sample_to_json c.traces);
-      ("speedup", Ocolos_obs.Json.Float c.speedup);
-      ("speedup_traces", Ocolos_obs.Json.Float c.speedup_traces);
-      ("traces_vs_blocks", Ocolos_obs.Json.Float c.traces_vs_blocks);
+      ("median", Ocolos_obs.Json.Float c.speedup);
+      ("q1", Ocolos_obs.Json.Float c.q1);
+      ("q3", Ocolos_obs.Json.Float c.q3);
       ("counters_equal", Ocolos_obs.Json.Bool c.counters_equal) ]

@@ -1,26 +1,28 @@
-(** Microbenchmark comparing the decoded-block and superblock/trace engines
-    against the reference interpreter: same workload, input and seed, fixed
-    instruction budget, best-of-repeats wall time. All engines are
-    deterministic, so the final uarch counters must be bit-identical;
-    {!compare_engines} verifies that alongside the throughput ratios. *)
+(** Microbenchmark comparing the decoded-block engine against the reference
+    interpreter: same workload, input and seed, fixed instruction budget.
+    Runs are measured as [repeats] interleaved (reference, blocks) pairs;
+    the speedup is the median of the per-pair ratios, reported with its
+    interquartile range. Both engines are deterministic, so the final uarch
+    counters must be bit-identical; {!compare_engines} verifies that
+    alongside the ratio. *)
 
 type engine_sample = {
-  wall_s : float;  (** best-of-repeats wall-clock seconds *)
-  instructions : int;  (** instructions retired in the measured run *)
-  ips : float;  (** instructions per wall-clock second *)
+  wall_s : float;  (** median wall-clock seconds over the repeats *)
+  instructions : int;  (** instructions retired in a measured run *)
+  ips : float;  (** instructions per wall-clock second at [wall_s] *)
 }
 
 type comparison = {
   workload : string;
   input : string;
   instructions : int;
+  repeats : int;  (** (reference, blocks) pairs measured *)
   reference : engine_sample;
   blocks : engine_sample;
-  traces : engine_sample;
-  speedup : float;  (** [blocks.ips /. reference.ips] *)
-  speedup_traces : float;  (** [traces.ips /. reference.ips] *)
-  traces_vs_blocks : float;  (** [traces.ips /. blocks.ips] *)
-  counters_equal : bool;  (** final counters bit-identical across all engines *)
+  speedup : float;  (** median of the per-pair [reference / blocks] wall ratios *)
+  q1 : float;  (** first quartile of the per-pair ratios *)
+  q3 : float;  (** third quartile of the per-pair ratios *)
+  counters_equal : bool;  (** final counters bit-identical in every run *)
 }
 
 val default_max_instrs : int
@@ -33,5 +35,6 @@ val compare_engines :
   input:Ocolos_workloads.Input.t ->
   comparison
 
-(** JSON record for [BENCH_superblock.json]. *)
+(** JSON record for [BENCH_engines.json]; the speedup is written as
+    [median]. *)
 val to_json : comparison -> Ocolos_obs.Json.t

@@ -329,7 +329,7 @@ let test_trace_identical_after_first_round_rollback () =
 
 (* The OSR fault points — kill mid-frame-rewrite (osr_frame), map-lookup
    miss path (osr_map), compensation-stub failure (osr_stub) — swept under
-   all three execution engines: after the rollback, the surviving version's
+   both execution engines: after the rollback, the surviving version's
    taken-branch trace must be byte-identical to a run that never attempted
    the replacement. *)
 let test_trace_identical_after_continuous_rollback () =
@@ -343,20 +343,20 @@ let test_trace_identical_after_continuous_rollback () =
             (traced_run ~engine ~rounds_before:1 ~point:(Some (p, nth)) ())
             reference)
         [ ("osr_frame", 1); ("osr_map", 1); ("osr_stub", 1); ("gc_unmap", 5); ("verify", 1) ])
-    [ ("reference", `Reference); ("blocks", `Blocks); ("traces", `Traces) ]
+    [ ("reference", `Reference); ("blocks", `Blocks) ]
 
-(* ---- trace-cache severing on rollback (`Traces engine) ---- *)
+(* ---- code-cache severing on rollback (`Blocks engine) ---- *)
 
-(* Chain links, inline caches and superblocks must be severed by the journal
-   replay of a rolled-back replacement, not only by a commit: a stale
-   chained exit surviving a rollback is a jump into freed text — the exact
-   bug class OCOLOS's bolt.org.text exists to prevent. Drive the whole
-   round under `Traces so the trace cache is hot (and chained) inside the
-   text the transaction rewrites, roll back at several points, and require
-   the swept cache to validate after every replay: no dead node, no
-   dangling link, no stale superblock. The rollback itself must reach the
-   watcher feed — the trace cache's invalidation count has to grow. *)
-let test_traces_cache_severed_on_rollback () =
+(* Decoded blocks and per-thread resume memos must be severed by the
+   journal replay of a rolled-back replacement, not only by a commit: a
+   stale block surviving a rollback executes instructions that are no
+   longer in the code map — the exact bug class OCOLOS's bolt.org.text
+   exists to prevent. Drive the whole round under `Blocks so the block
+   cache is hot inside the text the transaction rewrites, roll back at
+   several points, and require the cache to validate after every replay.
+   The rollback itself must reach the watcher feed — the block cache's
+   invalidation count has to grow. *)
+let test_code_cache_severed_on_rollback () =
   let base = Apps.tiny ~tx_limit:None () in
   let w =
     Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
@@ -365,11 +365,11 @@ let test_traces_cache_severed_on_rollback () =
   let proc = Workload.launch w ~input:(Workload.find_input w "a") in
   let fault = F.create ~seed:11 () in
   let oc = O.attach ~config:{ O.default_config with O.fault = Some fault } proc in
-  let run n = Proc.run ~engine:`Traces ~cycle_limit:infinity ~max_instrs:n proc in
+  let run n = Proc.run ~engine:`Blocks ~cycle_limit:infinity ~max_instrs:n proc in
   let invalidations () =
-    match Proc.trace_cache_stats proc with
-    | Some s -> s.Ocolos_proc.Superblock.invalidations
-    | None -> Alcotest.fail "no trace cache under `Traces"
+    match Proc.code_cache_stats proc with
+    | Some s -> s.Ocolos_proc.Block_engine.invalidations
+    | None -> Alcotest.fail "no block cache under `Blocks"
   in
   run 40_000;
   let points_per_round =
@@ -394,7 +394,7 @@ let test_traces_cache_severed_on_rollback () =
             Alcotest.(check string) (ctx ^ ": faulted point") point rb.Txn.rb_point
           | Txn.Committed _ -> Alcotest.fail (ctx ^ ": committed despite armed fault")
           | Txn.Diverged _ -> Alcotest.fail (ctx ^ ": diverged despite armed fault"));
-          Alcotest.(check bool) (ctx ^ ": trace cache valid after journal replay") true
+          Alcotest.(check bool) (ctx ^ ": code cache valid after journal replay") true
             (Proc.validate_code_cache proc);
           (* Injection points before live-text patching replay only writes
              to fresh text the cache never executed; by "commit" the replay
@@ -403,8 +403,8 @@ let test_traces_cache_severed_on_rollback () =
           if point = "commit" then
             Alcotest.(check bool) (ctx ^ ": rollback reached the invalidation feed") true
               (invalidations () > inv_before);
-          (* Keep executing through whatever survived: any stale chained
-             exit would now jump into the aborted region. *)
+          (* Keep executing through whatever survived: any stale cached
+             block would now run code from the aborted region. *)
           run 10_000;
           Alcotest.(check bool) (ctx ^ ": cache still valid after re-execution") true
             (Proc.validate_code_cache proc))
@@ -417,7 +417,7 @@ let test_traces_cache_severed_on_rollback () =
       | Txn.Rolled_back _ -> Alcotest.fail "unarmed commit rolled back"
     | Txn.Diverged _ -> Alcotest.fail "unarmed commit diverged");
       Alcotest.(check bool)
-        (Printf.sprintf "r%d: trace cache valid after commit" round)
+        (Printf.sprintf "r%d: code cache valid after commit" round)
         true (Proc.validate_code_cache proc);
       run 40_000)
     points_per_round;
@@ -477,8 +477,8 @@ let suite =
       test_trace_identical_after_first_round_rollback;
     Alcotest.test_case "trace identical after continuous rollback" `Slow
       test_trace_identical_after_continuous_rollback;
-    Alcotest.test_case "trace cache severed on rollback (`Traces)" `Quick
-      test_traces_cache_severed_on_rollback;
+    Alcotest.test_case "code cache severed on rollback (`Blocks)" `Quick
+      test_code_cache_severed_on_rollback;
     Alcotest.test_case "journal nesting rejected" `Quick test_journal_nesting_rejected;
     Alcotest.test_case "foreign faults roll back too" `Quick
       test_non_fault_exception_rolls_back_and_reraises ]

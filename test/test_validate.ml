@@ -266,8 +266,9 @@ let test_miscompile_chaos_property () =
   Alcotest.(check bool) "Tier 1 fired" true (List.mem `Validate tiers);
   Alcotest.(check bool) "Tier 2 fired" true (List.mem `Shadow tiers)
 
-(* The other two engines replay the same containment; deep mode widens to
-   the full catalog, the default pins the representative of each tier. *)
+(* Both engines, each pinned explicitly rather than through the default
+   config, replay the same containment; deep mode widens to the full
+   catalog, the default pins the representative of each tier. *)
 let test_miscompile_chaos_engines () =
   List.iter
     (fun engine ->
@@ -279,7 +280,7 @@ let test_miscompile_chaos_engines () =
       List.iter
         (fun point -> check_mc (Chaos.miscompile_scenario ~config ~seed:1 ~point ()))
         points)
-    [ `Reference; `Traces ]
+    [ `Reference; `Blocks ]
 
 let test_miscompile_fleet () =
   List.iter
