@@ -545,10 +545,10 @@ let osr_smoke_cmd =
       let profile, _ = Ocolos_core.Ocolos.stop_profiling oc in
       let result, _ = Ocolos_core.Ocolos.run_bolt oc profile in
       let stats = Ocolos_core.Ocolos.replace_code oc result in
-      Fmt.pr "round %d: C%d live, %d frames migrated, %d stubs, %d bytes freed, %d/%d \
+      Fmt.pr "round %d: C%d live, %d frames migrated, %d copies, %d bytes freed, %d/%d \
               original bytes resident@."
         !rounds stats.Ocolos_core.Ocolos.version stats.Ocolos_core.Ocolos.frames_migrated
-        stats.Ocolos_core.Ocolos.osr_stubs stats.Ocolos_core.Ocolos.gc_bytes_freed
+        stats.Ocolos_core.Ocolos.copied_funcs stats.Ocolos_core.Ocolos.gc_bytes_freed
         (Ocolos_core.Ocolos.c0_text_resident_bytes oc)
         c0_total
     done;
@@ -562,7 +562,7 @@ let osr_smoke_cmd =
       failed := true
     end;
     if extra > 0 then begin
-      Fmt.pr "FAIL: %d bytes of stub/copy residue survived convergence@." extra;
+      Fmt.pr "FAIL: %d bytes of copy residue survived convergence@." extra;
       failed := true
     end;
     (match Ocolos_core.Ocolos.verify_no_dangling oc ~freed:[] with

@@ -22,9 +22,6 @@ type config = {
   max_hot_funcs : int option;
   peephole : bool;
   exclude : int list; (* fids never optimized (supervisor quarantine) *)
-  exact_frame_maps : bool;
-      (* instruction-granular OSR maps; off = block boundaries only, so
-         every mid-block pointer migrates through a compensation stub *)
   lite : bool;
       (* true: emit only profiled-hot functions (the rest keep their old
          text, as in BOLT -lite). false: also re-emit every cold and
@@ -40,7 +37,6 @@ let default_config =
     max_hot_funcs = None;
     peephole = true;
     exclude = [];
-    exact_frame_maps = true;
     lite = true }
 
 type result = {
@@ -329,10 +325,6 @@ let run ?(config = default_config) ?extern_entry ?fault ~(binary : Binary.t)
           Hashtbl.replace per_bid key ((addr, Hashtbl.find new_text.Binary.code addr) :: l)
         | None -> ())
       new_text.Binary.code_order;
-    let trackers =
-      if config.exact_frame_maps then Frame_map.default_trackers
-      else [ Frame_map.block_boundary_tracker ]
-    in
     let maps =
       List.filter_map
         (fun (fid, rc) ->
@@ -350,7 +342,7 @@ let run ?(config = default_config) ?extern_entry ?fault ~(binary : Binary.t)
                    (List.init (Array.length rc.Cfg.rc_block_addr) (fun i -> i)))
             in
             let fm =
-              Frame_map.build ~trackers ~fid
+              Frame_map.build ~fid
                 ~old_entry:binary.Binary.symbols.(fid).Binary.fs_entry ~new_entry ~blocks
                 ~read_old:(fun a -> Binary.find_instr binary a)
                 ~new_instrs:(fun bid ->

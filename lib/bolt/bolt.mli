@@ -18,10 +18,6 @@ type config = {
   peephole : bool;
   exclude : int list;
       (** fids never selected for optimization (supervisor quarantine) *)
-  exact_frame_maps : bool;
-      (** emit instruction-granular OSR frame maps (the default); when
-          false only block boundaries are mapped, so every mid-block
-          pointer migrates through a compensation stub *)
   lite : bool;
       (** true (the default, as in BOLT [-lite]): only profiled-hot
           functions are re-emitted and the rest keep their old text.
@@ -54,9 +50,8 @@ type result = {
           into [new_text] (see {!Frame_map}) *)
 }
 
-val align_up : int -> int -> int
+(** One past the highest byte any section of the binary occupies. *)
 val sections_end : Ocolos_binary.Binary.t -> int
-val fresh_data_base : Ocolos_binary.Binary.t -> int
 
 (** [run ~binary ~profile ()] optimizes [binary] under [profile].
     [extern_entry] overrides how calls to non-optimized functions are

@@ -5,27 +5,21 @@
    that OCOLOS can migrate live frames (return addresses, paused PCs) into
    C_{i+1} instead of keeping the old text alive until they drain.
 
-   The map is assembled from *trackers*, one per address-granularity, run
-   over every basic block of the function:
-
-   - {!block_boundary_tracker} pairs each old block start with its new
-     start — always available, derived directly from the block-reorder
-     pass's address mapping.
-   - {!exact_instr_tracker} extends the map to instruction granularity by
-     positionally pairing the old and new instruction sequences of each
-     block. Peephole-removed no-ops are skipped on the old side (their
-     address maps to the next surviving instruction — exact, since a no-op
-     has no effect), and instructions that differ only in a statically
-     relocated target (calls, branches, jumps, fp materializations) still
-     pair. The walk stops at the first real divergence; addresses past it
-     stay block-granular and fall back to a compensation stub.
-
-   A PC that resolves [Exact] can be rewritten in place. A PC inside a
-   mapped block but between exact points resolves [Mid_block]: the caller
-   builds a compensation stub that re-establishes block-local state (by
-   running the remainder of the old block verbatim) before entering the
-   new code. Anything else is [Unmapped] — a map-lookup miss, which the
-   replacement transaction treats as a fault. *)
+   The map is exact by construction. Every old block start maps to its new
+   start, derived directly from the block-reorder pass's address mapping.
+   Then the old and new instruction sequences of each block are paired
+   positionally. Peephole-removed no-ops are skipped on the old side (their
+   address maps to the next surviving instruction — exact, since a no-op
+   has no effect); instructions that differ only in a statically relocated
+   target (calls, branches, jumps, fp materializations) pair; and a
+   conditional branch pairs with its negated form, which the emitter uses
+   when the taken successor became the fallthrough — being *at* the branch
+   is the same program point either way. The walk stops at the first real
+   divergence. In emitted code that is only a jump-table dispatch: the
+   table-base [Alui] names the old table, and the [Load]/[JumpInd] after
+   it read through a register computed from that base, so no PC in the
+   window may be rewritten into the new text. Such PCs resolve [None] and
+   the caller evacuates the function by copy. *)
 
 open Ocolos_isa
 
@@ -44,86 +38,61 @@ type t = {
   fm_exact : (int, int) Hashtbl.t; (* old pc -> new pc *)
 }
 
-type resolution = Exact of int | Mid_block of block_site | Unmapped
-
-type tracker = {
-  tk_name : string;
-  tk_track :
-    old_instrs:(int * Instr.t) array ->
-    new_instrs:(int * Instr.t) array ->
-    old_end:int ->
-    block_new:(int -> int option) ->
-    (int * int) list;
-}
-
-(* Old block start -> new block start. The coarsest map; every other
-   tracker refines it. *)
-let block_boundary_tracker =
-  { tk_name = "block_boundary";
-    tk_track =
-      (fun ~old_instrs ~new_instrs ~old_end:_ ~block_new:_ ->
-        if Array.length old_instrs = 0 || Array.length new_instrs = 0 then []
-        else [ (fst old_instrs.(0), fst new_instrs.(0)) ]) }
-
-(* Two instructions occupy the same program point if they are identical or
-   differ only in a statically relocated target. *)
+(* Two instructions occupy the same program point if they are identical,
+   differ only in a statically relocated target, or are conditional
+   branches on one register whose conditions are equal or negated. *)
 let pairable o n =
   o = n
   ||
-  match (Instr.static_target o, Instr.static_target n) with
-  | Some _, Some tn -> ( try Instr.with_target o tn = n with Invalid_argument _ -> false)
-  | _ -> false
+  match (o, n) with
+  | Instr.Branch (c, r, _), Instr.Branch (c', r', _) ->
+    r = r' && (c' = c || c' = Ocolos_binary.Emit.negate_cond c)
+  | _ -> (
+    match (Instr.static_target o, Instr.static_target n) with
+    | Some _, Some tn -> ( try Instr.with_target o tn = n with Invalid_argument _ -> false)
+    | _ -> false)
 
 (* Instruction-granular positional pairing of one block's old and new code.
    Invariant: at each step the next new instruction is the continuation of
    the program point at the next old instruction, so pairing their
    addresses is an exact migration. *)
-let exact_instr_tracker =
-  { tk_name = "exact_instr";
-    tk_track =
-      (fun ~old_instrs ~new_instrs ~old_end ~block_new ->
-        let n_old = Array.length old_instrs and n_new = Array.length new_instrs in
-        let pairs = ref [] in
-        let stop = ref false in
-        let i = ref 0 and j = ref 0 in
-        while (not !stop) && !i < n_old do
-          let old_addr, old_i = old_instrs.(!i) in
-          if !j < n_new && pairable old_i (snd new_instrs.(!j)) then begin
-            pairs := (old_addr, fst new_instrs.(!j)) :: !pairs;
-            incr i;
-            incr j
-          end
-          else if Peephole.is_noop_instr old_i then begin
-            (* Removed by peephole: the program point survives as the next
-               emitted instruction (or the fallthrough block if the no-op
-               closed the block). *)
-            (match
-               if !j < n_new then Some (fst new_instrs.(!j)) else block_new old_end
-             with
-            | Some a -> pairs := (old_addr, a) :: !pairs
-            | None -> ());
-            incr i
-          end
-          else begin
-            (* A trailing unconditional jump whose emitted form was elided
-               (the reordered layout made its target the fallthrough): being
-               *at* the jump is the same program point as being at its
-               target. *)
-            (match old_i with
-            | Instr.Jump t -> (
-              match block_new t with
-              | Some a -> pairs := (old_addr, a) :: !pairs
-              | None -> ())
-            | _ -> ());
-            stop := true
-          end
-        done;
-        !pairs) }
+let pair_block ~old_instrs ~new_instrs ~old_end ~block_new =
+  let n_old = Array.length old_instrs and n_new = Array.length new_instrs in
+  let pairs = ref [] in
+  let stop = ref false in
+  let i = ref 0 and j = ref 0 in
+  while (not !stop) && !i < n_old do
+    let old_addr, old_i = old_instrs.(!i) in
+    if !j < n_new && pairable old_i (snd new_instrs.(!j)) then begin
+      pairs := (old_addr, fst new_instrs.(!j)) :: !pairs;
+      incr i;
+      incr j
+    end
+    else if Peephole.is_noop_instr old_i then begin
+      (* Removed by peephole: the program point survives as the next
+         emitted instruction (or the fallthrough block if the no-op closed
+         the block). *)
+      (match if !j < n_new then Some (fst new_instrs.(!j)) else block_new old_end with
+      | Some a -> pairs := (old_addr, a) :: !pairs
+      | None -> ());
+      incr i
+    end
+    else begin
+      (* A trailing unconditional jump whose emitted form was elided (the
+         reordered layout made its target the fallthrough): being *at* the
+         jump is the same program point as being at its target. *)
+      (match old_i with
+      | Instr.Jump t -> (
+        match block_new t with
+        | Some a -> pairs := (old_addr, a) :: !pairs
+        | None -> ())
+      | _ -> ());
+      stop := true
+    end
+  done;
+  !pairs
 
-let default_trackers = [ block_boundary_tracker; exact_instr_tracker ]
-
-let build ?(trackers = default_trackers) ~fid ~old_entry ~new_entry ~blocks ~read_old
-    ~new_instrs () =
+let build ~fid ~old_entry ~new_entry ~blocks ~read_old ~new_instrs () =
   let sites =
     Array.map
       (fun (bid, old_start, old_end, new_start) ->
@@ -135,6 +104,7 @@ let build ?(trackers = default_trackers) ~fid ~old_entry ~new_entry ~blocks ~rea
   Array.iter (fun s -> Hashtbl.replace block_new_tbl s.bs_old_start s.bs_new_start) sites;
   let block_new addr = Hashtbl.find_opt block_new_tbl addr in
   let exact = Hashtbl.create 64 in
+  let add (o, n) = if not (Hashtbl.mem exact o) then Hashtbl.replace exact o n in
   Array.iter
     (fun s ->
       (* Raw old code of the block, by size-accurate walk. *)
@@ -151,12 +121,12 @@ let build ?(trackers = default_trackers) ~fid ~old_entry ~new_entry ~blocks ~rea
        with Exit -> ());
       let old_instrs = Array.of_list (List.rev !olds) in
       let news = new_instrs s.bs_bid in
-      List.iter
-        (fun tk ->
-          List.iter
-            (fun (o, n) -> if not (Hashtbl.mem exact o) then Hashtbl.replace exact o n)
-            (tk.tk_track ~old_instrs ~new_instrs:news ~old_end:s.bs_old_end ~block_new))
-        trackers)
+      (* The block start first: it holds even where the walk pairs
+         nothing. *)
+      if Array.length old_instrs > 0 && Array.length news > 0 then
+        add (fst old_instrs.(0), fst news.(0));
+      List.iter add
+        (pair_block ~old_instrs ~new_instrs:news ~old_end:s.bs_old_end ~block_new))
     sites;
   { fm_fid = fid;
     fm_old_entry = old_entry;
@@ -187,10 +157,6 @@ let containing_block t addr =
   done;
   !found
 
-let resolve t addr =
-  match Hashtbl.find_opt t.fm_exact addr with
-  | Some n -> Exact n
-  | None -> (
-    match containing_block t addr with Some s -> Mid_block s | None -> Unmapped)
+let resolve t addr = Hashtbl.find_opt t.fm_exact addr
 
 let exact_points t = Hashtbl.length t.fm_exact

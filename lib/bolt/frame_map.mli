@@ -1,12 +1,12 @@
 (** Per-function frame maps for on-stack replacement.
 
     A frame map records how addresses in the old code version of one BOLTed
-    function correspond to addresses in the freshly emitted version, at two
-    granularities: block starts (always) and individual instructions (where
-    the old and new sequences provably carry the same program points). It is
-    the data OCOLOS needs to rewrite live frames' return addresses and
-    paused threads' PCs directly into C_{i+1}, retiring the old text
-    immediately instead of keeping it alive until frames drain. *)
+    function correspond to addresses in the freshly emitted version: every
+    block start, plus every instruction the positional walk proves carries
+    the same program point in both versions. It is the data OCOLOS needs to
+    rewrite live frames' return addresses and paused threads' PCs directly
+    into C_{i+1}, retiring the old text immediately instead of keeping it
+    alive until frames drain. *)
 
 type block_site = {
   bs_bid : int;
@@ -23,47 +23,22 @@ type t = {
   fm_exact : (int, int) Hashtbl.t;  (** old pc -> new pc *)
 }
 
-(** How an old-version PC migrates:
-    - [Exact new_pc]: rewrite in place.
-    - [Mid_block site]: the PC is inside a mapped block but between exact
-      points; a compensation stub must re-establish block-local state
-      before entering the new code.
-    - [Unmapped]: map-lookup miss — the replacement transaction treats
-      this as a fault. *)
-type resolution = Exact of int | Mid_block of block_site | Unmapped
-
-(** A pluggable per-pass address tracker: given one block's raw old
-    instruction sequence, its emitted new sequence, the block's old end
-    address and the old-start -> new-start block map, returns exact
-    (old pc, new pc) pairs. *)
-type tracker = {
-  tk_name : string;
-  tk_track :
-    old_instrs:(int * Ocolos_isa.Instr.t) array ->
-    new_instrs:(int * Ocolos_isa.Instr.t) array ->
-    old_end:int ->
-    block_new:(int -> int option) ->
-    (int * int) list;
-}
-
-(** Maps each old block start to its new start. *)
-val block_boundary_tracker : tracker
-
-(** Positional instruction pairing: identical instructions, instructions
-    differing only in a statically relocated target, and peephole-removed
-    no-ops (mapped to the next surviving instruction) all pair; the walk
-    stops at the first real divergence. *)
-val exact_instr_tracker : tracker
-
-(** [[block_boundary_tracker; exact_instr_tracker]] *)
-val default_trackers : tracker list
-
 (** [build ~fid ~old_entry ~new_entry ~blocks ~read_old ~new_instrs ()]
     assembles a map. [blocks] lists (bid, old start, old end, new start)
     per basic block; [read_old] reads the old code image; [new_instrs]
-    returns the emitted instructions of one bid in layout order. *)
+    returns the emitted instructions of one bid in layout order.
+
+    Each old block start maps to its new start. Within a block, the old
+    and new instruction sequences are then paired positionally: identical
+    instructions, instructions differing only in a statically relocated
+    target, a conditional branch against the same register under the same
+    or negated condition (the emitter inverts a branch whose taken
+    successor became the fallthrough), and peephole-removed no-ops (mapped
+    to the next surviving instruction) all pair. The walk stops at the
+    first real divergence — in emitted code, only a jump-table dispatch:
+    its table-base [Alui] names the old table, and the [Load]/[JumpInd]
+    after it consume a register computed from that base. *)
 val build :
-  ?trackers:tracker list ->
   fid:int ->
   old_entry:int ->
   new_entry:int ->
@@ -73,7 +48,9 @@ val build :
   unit ->
   t
 
-val resolve : t -> int -> resolution
+(** The new-version PC an old-version PC migrates to, or [None] when the
+    map has no exact entry for it (the caller evacuates by copy). *)
+val resolve : t -> int -> int option
 
 (** Old block start -> new block start (None if not a block start). *)
 val block_new_start : t -> int -> int option

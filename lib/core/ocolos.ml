@@ -12,13 +12,13 @@
    function, a per-function frame map (old PC -> new PC, see
    {!Ocolos_bolt.Frame_map}); the stop-the-world phase rewrites every live
    frame's return address, every saved callee entry and every paused
-   thread's PC directly into C_{i+1} through that map, builds a short
-   compensation stub when a PC lands mid-block between exact map points,
-   and falls back to a verbatim evacuation copy only when no map covers the
-   address at all. The old text — including C0's [bolt.org.text], even for
-   never-returning entry functions — is then unmapped immediately, so after
-   convergence exactly one code version is resident (plus transient stub /
-   copy residue that a reachability-proven GC reaps as frames drain). *)
+   thread's PC directly into C_{i+1} through that map, and falls back to a
+   verbatim evacuation copy only for the few PCs the map leaves out (a
+   jump-table dispatch window). The old text — including C0's
+   [bolt.org.text], even for never-returning entry functions — is then
+   unmapped immediately, so after convergence exactly one code version is
+   resident (plus transient copy residue that a reachability-proven GC
+   reaps as frames drain). *)
 
 open Ocolos_isa
 open Ocolos_binary
@@ -49,22 +49,18 @@ type replacement_stats = {
   call_sites_patched : int;
   stack_live_funcs : int;
   frames_migrated : int; (* live frames / PCs rewritten into C_{i+1} *)
-  osr_stubs : int; (* compensation stubs generated for mid-block PCs *)
-  copied_funcs : int; (* copy-fallback evacuations (no usable frame map) *)
+  copied_funcs : int; (* copy-fallback evacuations (PC outside the frame map) *)
   funcs_optimized : int;
   code_bytes_injected : int;
   gc_bytes_freed : int;
   pause_seconds : float;
 }
 
-(* Transient code left behind by one OSR round: compensation stubs and
-   copy-fallback evacuations. Each is tagged with the round that created
-   it; the round's inherited jump-table words (below) drain with it. *)
-type residue_kind = Stub | Copy
-
+(* Transient code left behind by one OSR round: copy-fallback evacuations.
+   Each is tagged with the round that created it; the round's inherited
+   jump-table words (below) drain with it. *)
 type residue = {
   rs_fid : int;
-  rs_kind : residue_kind;
   rs_round : int;
   rs_ranges : (int * int) list; (* [start, end) *)
 }
@@ -316,8 +312,9 @@ let validate_result t (result : Bolt.result) =
    stop-the-world phase reaches them. Points inside loops are hit once per
    iteration, so an [Nth] schedule can fire mid-mutation; the OSR points
    ([osr_frame] once per paused thread, [osr_map] once per doomed pointer
-   resolution, [osr_stub] once per compensation-stub build) and the gc_*
-   and [verify] points are reachable only in rounds that retire text.
+   resolution) and the gc_* and [verify] points are reachable only in
+   rounds that retire text; [gc_reap] additionally needs residue to die,
+   which in practice only a {!revert}'s copies leave behind.
    [proc.pause_timeout] models a thread that cannot reach a safe pause
    point within the deadline; [mem.exhausted] an address space with no room
    for the incoming text — both abort the transaction like any other
@@ -334,7 +331,6 @@ let injection_points =
     "call_patch";
     "osr_frame";
     "osr_map";
-    "osr_stub";
     "gc_unmap";
     "gc_reap";
     "verify";
@@ -413,7 +409,7 @@ let residue_bytes t =
 let inherited_words t =
   List.fold_left (fun acc (_, addrs) -> acc + List.length addrs) 0 t.inherited
 
-(* Transient bytes beyond the single resident version: stub/copy residue
+(* Transient bytes beyond the single resident version: copy residue
    plus inherited jump-table words (8 bytes each). Reaches 0 after
    convergence, once every migrated frame has drained. *)
 let resident_extra_bytes t = residue_bytes t + (8 * inherited_words t)
@@ -444,7 +440,7 @@ let inherited_mem t a = List.exists (fun (_, addrs) -> List.mem a addrs) t.inher
    this round (every resident range of every re-emitted function — which in
    round 1 includes their C0 ranges, retiring [bolt.org.text]); frames, PCs
    and scratch registers pointing into it are rewritten through the frame
-   maps, via compensation stubs, or — last resort — into verbatim copies.
+   maps or, where no exact map entry exists, into verbatim copies.
    [ox_cut] injects the round's fault points; {!revert} passes a no-op so
    the emergency brake cannot itself fault. *)
 type osr_ctx = {
@@ -452,11 +448,9 @@ type osr_ctx = {
   ox_fms : (int, Frame_map.t) Hashtbl.t;
   ox_old_entry_fid : (int, int) Hashtbl.t; (* doomed entry -> fid *)
   ox_desired : int -> int; (* fid -> entry it should resolve to now *)
-  ox_stubs : (int, int) Hashtbl.t; (* old pc -> stub entry *)
   mutable ox_residue : residue list;
-  ox_addr_map : (int, int) Hashtbl.t; (* old addr -> copy/stub addr *)
+  ox_addr_map : (int, int) Hashtbl.t; (* old addr -> copy addr *)
   ox_copied : (int, unit) Hashtbl.t; (* fids already copy-evacuated *)
-  mutable ox_stub_count : int;
   mutable ox_copy_count : int;
   ox_round : int;
   ox_cut : string -> unit;
@@ -487,11 +481,9 @@ let make_osr_ctx t ~doomed ~fms ~desired ~round ~cut_fn =
       ox_fms = fm_tbl;
       ox_old_entry_fid = Hashtbl.create 64;
       ox_desired = desired;
-      ox_stubs = Hashtbl.create 16;
       ox_residue = [];
       ox_addr_map = Hashtbl.create 256;
       ox_copied = Hashtbl.create 16;
-      ox_stub_count = 0;
       ox_copy_count = 0;
       ox_round = round;
       ox_cut = cut_fn }
@@ -563,19 +555,19 @@ let copy_fallback t ctx fid =
       Addr_space.add_sym_ranges mem
         (List.map (fun (s, e) -> { Addr_space.sr_start = s; sr_end = e; sr_fid = fid }) new_ranges);
       ctx.ox_residue <-
-        { rs_fid = fid; rs_kind = Copy; rs_round = ctx.ox_round; rs_ranges = new_ranges }
+        { rs_fid = fid; rs_round = ctx.ox_round; rs_ranges = new_ranges }
         :: ctx.ox_residue;
       ctx.ox_copy_count <- ctx.ox_copy_count + 1
     end
   end
 
-(* Map a doomed code address without side effects: through the copy/stub
+(* Map a doomed code address without side effects: through the copy
    address map, the entry map, or a frame map's block map. *)
 let map_doomed_value t ctx v =
   if not (in_doomed ctx v) then None
   else
     (* Entry addresses resolve through the desired-entry map before the
-       copy/stub map: an evacuation copy made for one thread's parked
+       copy map: an evacuation copy made for one thread's parked
        frames must not capture other references to the function — calls
        from surviving code belong to the live version's entry, or copies
        chain across rounds and never drain. *)
@@ -607,83 +599,9 @@ let map_or_copy t ctx v =
       | None -> None)
     else None
 
-exception Unstubbable
-
-(* The compensation stub for a PC that lands mid-block between exact map
-   points: re-execute the remainder of the old block (static targets
-   relocated out of the doomed region), then jump to the mapped successor
-   block in the new text. The tail of the old block re-establishes
-   block-local state — that is the compensation — and the appended jump
-   hands over at a block boundary, where the frame map is always exact.
-   Returns [None] (caller falls back to a copy) when the old bytes cannot
-   be read, a target cannot be relocated, or the fallthrough block has no
-   mapping. *)
-let build_stub t ctx (fm : Frame_map.t) (site : Frame_map.block_site) addr =
-  match Hashtbl.find_opt ctx.ox_stubs addr with
-  | Some base -> Some base
-  | None -> (
-    ctx.ox_cut "osr_stub";
-    let mem = t.proc.Proc.mem in
-    try
-      let rev_instrs = ref [] in
-      let a = ref addr in
-      while !a < site.Frame_map.bs_old_end do
-        match Addr_space.read_code mem !a with
-        | None -> raise Unstubbable
-        | Some i ->
-          rev_instrs := i :: !rev_instrs;
-          a := !a + Instr.size i
-      done;
-      let reloc i =
-        match Instr.static_target i with
-        | None -> i
-        | Some tgt ->
-          if not (in_doomed ctx tgt) then i
-          else (
-            match Hashtbl.find_opt ctx.ox_old_entry_fid tgt with
-            | Some callee -> Instr.with_target i (ctx.ox_desired callee)
-            | None -> (
-              match Frame_map.block_new_start fm tgt with
-              | Some n -> Instr.with_target i n
-              | None -> raise Unstubbable))
-      in
-      let instrs = List.rev_map reloc !rev_instrs in
-      (match instrs with [] -> raise Unstubbable | _ :: _ -> ());
-      let closed =
-        let rec last = function [ x ] -> x | _ :: tl -> last tl | [] -> assert false in
-        match last instrs with
-        (* A trailing conditional branch still needs the fallthrough. *)
-        | Instr.Jump _ | Instr.JumpInd _ | Instr.Ret | Instr.Halt -> instrs
-        | _ -> (
-          match Frame_map.block_new_start fm site.Frame_map.bs_old_end with
-          | Some n -> instrs @ [ Instr.Jump n ]
-          | None -> raise Unstubbable)
-      in
-      let bytes = List.fold_left (fun acc i -> acc + Instr.size i) 0 closed in
-      let base = Addr_space.reserve_code mem (bytes + 8) in
-      let cursor = ref base in
-      List.iter
-        (fun i ->
-          Addr_space.write_code mem !cursor i;
-          cursor := !cursor + Instr.size i)
-        closed;
-      Addr_space.add_sym_ranges mem
-        [ { Addr_space.sr_start = base; sr_end = base + bytes; sr_fid = fm.Frame_map.fm_fid } ];
-      ctx.ox_residue <-
-        { rs_fid = fm.Frame_map.fm_fid;
-          rs_kind = Stub;
-          rs_round = ctx.ox_round;
-          rs_ranges = [ (base, base + bytes) ] }
-        :: ctx.ox_residue;
-      Hashtbl.replace ctx.ox_stubs addr base;
-      ctx.ox_stub_count <- ctx.ox_stub_count + 1;
-      Some base
-    with Unstubbable -> None)
-
 (* Migrate one code pointer held by a thread (PC, return address, saved
-   callee entry, scratch register): exact map hit rewrites in place,
-   mid-block goes through a compensation stub, anything unmapped lands in a
-   copy-fallback evacuation. *)
+   callee entry, scratch register): an exact map hit rewrites in place,
+   anything unmapped lands in a copy-fallback evacuation. *)
 let resolve_pointer t ctx addr =
   if not (in_doomed ctx addr) then addr
   else begin
@@ -694,23 +612,16 @@ let resolve_pointer t ctx addr =
       match Hashtbl.find_opt ctx.ox_old_entry_fid addr with
       | Some fid -> ctx.ox_desired fid
       | None -> (
-        let via_copy fid =
-          copy_fallback t ctx fid;
-          match Hashtbl.find_opt ctx.ox_addr_map addr with Some d -> d | None -> addr
-        in
         match Addr_space.fid_of_addr t.proc.Proc.mem addr with
         | None -> addr (* untracked; the post-GC verifier will catch it *)
         | Some fid -> (
-          match Hashtbl.find_opt ctx.ox_fms fid with
-          | None -> via_copy fid
-          | Some fm -> (
-            match Frame_map.resolve fm addr with
-            | Frame_map.Exact n -> n
-            | Frame_map.Mid_block site -> (
-              match build_stub t ctx fm site addr with
-              | Some s -> s
-              | None -> via_copy fid)
-            | Frame_map.Unmapped -> via_copy fid))))
+          match
+            Option.bind (Hashtbl.find_opt ctx.ox_fms fid) (fun fm -> Frame_map.resolve fm addr)
+          with
+          | Some n -> n
+          | None -> (
+            copy_fallback t ctx fid;
+            match Hashtbl.find_opt ctx.ox_addr_map addr with Some d -> d | None -> addr))))
   end
 
 (* Register migration for one paused thread. Two rules:
@@ -842,7 +753,7 @@ let patch_data_words t ctx =
     words;
   (!patched, !inherited)
 
-(* Reap residue (stubs and copies) that no thread can reach anymore —
+(* Reap residue (evacuation copies) that no thread can reach anymore —
    reachability is PCs, return addresses, saved callee entries and register
    values of running threads (registers conservatively retain: a scratch
    register may legitimately hold a residue block address mid-dispatch).
@@ -934,8 +845,8 @@ let reap_residue t ~cut:cut_fn =
   (!bytes, List.concat_map (fun r -> r.rs_ranges) reap)
 
 (* On-demand residue GC between replacements (e.g. the daemon's idle tick):
-   as frames drain past their migrated program points, stubs and copies
-   become unreachable without another replacement to notice. Pauses the
+   as frames drain past their migrated program points, copies become
+   unreachable without another replacement to notice. Pauses the
    process around the reachability proof if it isn't already paused.
    Returns bytes freed. *)
 let gc_residue t =
@@ -1094,7 +1005,7 @@ let replace_code t (result : Bolt.result) : replacement_stats =
                  s.Binary.fs_ranges));
       Trace.set_attr sp "instrs" (Trace.I (Array.length new_text.Binary.code_order)));
   let bytes_injected = Binary.text_bytes new_text in
-  (* Keep the mmap cursor above the injected section: stub/copy residue is
+  (* Keep the mmap cursor above the injected section: copy residue is
      reserved from it, and BOLT's 1 MiB guard band keeps the next round's
      emission above the residue in turn. *)
   let new_end = Bolt.sections_end new_text in
@@ -1211,7 +1122,6 @@ let replace_code t (result : Bolt.result) : replacement_stats =
         gc_bytes := !gc_bytes + reap_bytes;
         reaped_ranges := reaped;
         Trace.set_attr gc_sp "frames_migrated" (Trace.I !frames_migrated);
-        Trace.set_attr gc_sp "osr_stubs" (Trace.I ctx.ox_stub_count);
         Trace.set_attr gc_sp "copied_funcs" (Trace.I ctx.ox_copy_count);
         Trace.set_attr gc_sp "bytes_freed" (Trace.I !gc_bytes));
     if t.config.verify_gc then begin
@@ -1251,14 +1161,12 @@ let replace_code t (result : Bolt.result) : replacement_stats =
   Metrics.count "ocolos_code_bytes_injected_total" bytes_injected;
   Metrics.count "ocolos_gc_bytes_freed_total" !gc_bytes;
   Metrics.count "ocolos_frames_migrated_total" !frames_migrated;
-  Metrics.count "ocolos_osr_stubs_total" ctx.ox_stub_count;
   Metrics.sample ~buckets:Metrics.pause_buckets "ocolos_replace_pause_seconds" pause_seconds;
   Ocolos_obs.Events.log "osr.migrate"
     ~fields:
       [ ("round", Trace.I ctx.ox_round);
         ("version", Trace.I t.version);
         ("frames", Trace.I !frames_migrated);
-        ("stubs", Trace.I ctx.ox_stub_count);
         ("copies", Trace.I ctx.ox_copy_count);
         ("resident_extra_bytes", Trace.I (resident_extra_bytes t)) ];
   Proc.resume proc;
@@ -1267,7 +1175,6 @@ let replace_code t (result : Bolt.result) : replacement_stats =
     call_sites_patched = !sites_patched;
     stack_live_funcs = Hashtbl.length live;
     frames_migrated = !frames_migrated;
-    osr_stubs = ctx.ox_stub_count;
     copied_funcs = ctx.ox_copy_count;
     funcs_optimized = result.Bolt.funcs_reordered;
     code_bytes_injected = bytes_injected;
@@ -1307,7 +1214,7 @@ let frozen_translate_fp t =
      such address it owns (emission lays the hot part first), falling back
      to its C0 entry;
    - a function's resident set is its injected ranges plus whatever C0
-     ranges are still mapped. Stub/copy residue is indistinguishable from
+     ranges are still mapped. Copy residue is indistinguishable from
      live text here and is conservatively treated as resident; the next
      replacement round dooms and re-migrates it through the copy fallback
      (no frame map covers it) like any other old text;
@@ -1458,8 +1365,6 @@ let c0_snapshot t =
     sn_init_addrs = init;
     sn_table_addrs = tables;
     sn_word_values = t.original.Binary.global_init }
-
-let snapshot_version s = s.sn_version
 
 (* ---- staged rollback of a committed version ---- *)
 

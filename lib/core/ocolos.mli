@@ -10,13 +10,14 @@
     ({!Ocolos_bolt.Frame_map}) alongside each optimized function, and the
     stop-the-world phase rewrites every live frame's return address, saved
     callee entry and paused thread's PC directly into C_{i+1} through it —
-    via a generated compensation stub when a PC lands mid-block, or a
-    verbatim evacuation copy when no map covers the address — then unmaps
-    the retired text immediately. Nothing is pinned: [bolt.org.text]
-    retires as coverage grows (even for never-returning entry functions),
-    and after convergence exactly one code version is resident; transient
-    stub/copy residue and the jump-table words it still reads are reaped by
-    a reachability-proven GC as frames drain. *)
+    the map is exact at every instruction outside a jump-table dispatch
+    window, and a PC inside one is evacuated into a verbatim copy — then
+    unmaps the retired text immediately. Nothing is pinned:
+    [bolt.org.text] retires as coverage grows (even for never-returning
+    entry functions), and after convergence exactly one code version is
+    resident. Residue is the copies {!revert} makes (plus the rare
+    dispatch-window copy) and the jump-table words they still read; a
+    reachability-proven GC reaps it as frames drain. *)
 
 type config = {
   bolt : Ocolos_bolt.Bolt.config;
@@ -43,9 +44,9 @@ type replacement_stats = {
   stack_live_funcs : int;
   frames_migrated : int;
       (** live frames / PCs rewritten into the new version (OSR) *)
-  osr_stubs : int;  (** compensation stubs generated for mid-block PCs *)
   copied_funcs : int;
-      (** copy-fallback evacuations — functions with no usable frame map *)
+      (** copy-fallback evacuations — functions with a live PC the frame
+          map leaves out *)
   funcs_optimized : int;
   code_bytes_injected : int;
   gc_bytes_freed : int;
@@ -64,7 +65,7 @@ val attach : ?config:config -> Ocolos_proc.Proc.t -> t
     injected code above the original image's end, live entries (lowest
     injected address per function), each function's resident ranges
     (injected plus surviving C0), and the function-pointer entry index.
-    Stub/copy residue is conservatively treated as resident text; the next
+    Copy residue is conservatively treated as resident text; the next
     replacement round re-migrates it like any other old version. An aborted
     transaction left no trace, so reattaching after a mid-transaction kill
     is identical to a plain {!attach}. *)
@@ -134,10 +135,7 @@ val config : t -> config
     this on its process clones. *)
 val frozen_translate_fp : t -> int -> int
 
-(** Bytes of stub/copy residue currently mapped. *)
-val residue_bytes : t -> int
-
-(** Transient footprint beyond the single resident code version: stub/copy
+(** Transient footprint beyond the single resident code version: copy
     residue plus inherited jump-table words (8 bytes each). Reaches 0 after
     convergence once every migrated frame has drained. *)
 val resident_extra_bytes : t -> int
@@ -146,7 +144,7 @@ val resident_extra_bytes : t -> int
     True OSR drives this to 0 once every function has been re-emitted. *)
 val c0_text_resident_bytes : t -> int
 
-(** On-demand GC of stub/copy residue between replacements (the daemon's
+(** On-demand GC of copy residue between replacements (the daemon's
     idle tick): reaps residue no thread PC, frame or register can reach,
     and inherited jump-table words whose round has fully drained. Pauses
     the process around the reachability proof if needed. Returns bytes
@@ -157,9 +155,9 @@ val gc_residue : t -> int
     the stop-the-world phase reaches them. Points inside mutation loops are
     hit once per iteration, so an [Nth] schedule lands mid-mutation. The
     OSR points ([osr_frame] per paused thread, [osr_map] per doomed-pointer
-    resolution — the map-lookup path, [osr_stub] per compensation-stub
-    build) and the [gc_*]/[verify] points are reachable only in rounds that
-    retire text. Includes [proc.pause_timeout] (a thread missing the
+    resolution — the map-lookup path) and the [gc_*]/[verify] points are
+    reachable only in rounds that retire text; [gc_reap] also needs
+    residue to die, which in practice only {!revert}'s copies leave. Includes [proc.pause_timeout] (a thread missing the
     safe-point deadline) and [mem.exhausted] (no address space for the
     incoming text). *)
 val injection_points : string list
@@ -183,9 +181,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
-
-(** The version a snapshot was taken at. *)
-val snapshot_version : snapshot -> int
 
 (** A synthetic snapshot describing C0. C0's bytes live in the original
     binary image, so a controller with no in-memory history (e.g. freshly

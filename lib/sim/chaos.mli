@@ -24,7 +24,7 @@ type config = {
 
 (** Tuned so continuous rounds (C1 → C2 → ...) occur on the tiny workload:
     [regression_tolerance < 0] makes the drift gate fire every
-    amortization interval, which is how gc_*/thread_patch/verify points
+    amortization interval, which is how the gc_unmap/verify points
     become reachable without an input shift. *)
 val default_config : config
 
@@ -76,7 +76,9 @@ val new_cache : unit -> ref_cache
 val scenario :
   ?config:config -> ?cache:ref_cache -> seed:int -> point:string -> unit -> result
 
-(** The full catalog ({!Ocolos_core.Ocolos.fault_catalog}). *)
+(** The full catalog ({!Ocolos_core.Ocolos.fault_catalog}) minus
+    [gc_reap]: only a revert leaves residue for it to reap, and a
+    single-process kill run never reverts. {!fleet_scenario} reaches it. *)
 val default_points : string list
 
 val default_seeds : int list

@@ -60,9 +60,9 @@ type ocolos_run = {
   rollbacks : int;  (** replacement attempts rolled back by injected faults *)
   attempts : int;  (** total replacement attempts (rollbacks + the commit) *)
   resident_extra_bytes : int;
-      (** transient OSR overhead (stub/copy residue + inherited jump-table
-          words) mapped right after the commit — the drain-window peak the
-          RSS model must include *)
+      (** transient OSR overhead (evacuation copies, in practice a
+          revert's, + inherited jump-table words) mapped right after the
+          commit — the drain-window peak the RSS model must include *)
   breaker : Ocolos_core.Guard.breaker_state;
       (** circuit-breaker state after the run (Open after a failed campaign
           when the guard is shared across runs) *)

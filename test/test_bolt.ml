@@ -397,6 +397,78 @@ let test_bolt_handles_bolted_binary () =
   Alcotest.(check bool) "second base higher" true
     (r2.Ocolos_bolt.Bolt.bolt_base > r1.Ocolos_bolt.Bolt.bolt_base)
 
+(* Frame maps are exact by construction: on a BOLT result, every old
+   instruction boundary inside a mapped block resolves to a new PC. The
+   one exception is a jump-table dispatch window — its table-base [Alui]
+   (unless it starts the block), [Load] and [JumpInd] — where a paused
+   thread holds a register computed from the old table's base, so only a
+   copy of the old code can continue it. Checked on a first round and on
+   a second round over the BOLTed binary, with jump tables kept. *)
+let test_frame_maps_exact () =
+  let base = Apps.tiny ~tx_limit:None () in
+  let w =
+    Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
+      ~nthreads:2 base.Workload.gen
+  in
+  let input = Workload.find_input w "a" in
+  let run_profile binary =
+    let proc = Workload.launch w ~binary ~input in
+    let session = Ocolos_profiler.Perf.start proc in
+    Ocolos_proc.Proc.run ~cycle_limit:200_000.0 proc;
+    Ocolos_profiler.Perf2bolt.convert ~binary (Ocolos_profiler.Perf.stop session)
+  in
+  let negated = ref 0 and windows = ref 0 in
+  let check (b : Binary.t) (r : Ocolos_bolt.Bolt.result) =
+    let new_code = r.Ocolos_bolt.Bolt.new_text.Binary.code in
+    List.iter
+      (fun (fid, (fm : Ocolos_bolt.Frame_map.t)) ->
+        Array.iter
+          (fun (bs : Ocolos_bolt.Frame_map.block_site) ->
+            let rec old_instrs a =
+              if a >= bs.Ocolos_bolt.Frame_map.bs_old_end then []
+              else
+                match Binary.find_instr b a with
+                | Some i -> (a, i) :: old_instrs (a + Instr.size i)
+                | None -> []
+            in
+            let rec walk = function
+              | [] -> ()
+              | (a0, Instr.Alui (Instr.Add, s0, _, _))
+                :: (_, Instr.Load (s1, s1', 0))
+                :: (_, Instr.JumpInd s2)
+                :: rest
+                when s1 = s0 && s1' = s0 && s2 = s0 ->
+                incr windows;
+                if a0 = bs.Ocolos_bolt.Frame_map.bs_old_start then
+                  Alcotest.(check bool) "window at block start maps" true
+                    (Ocolos_bolt.Frame_map.resolve fm a0 <> None);
+                walk rest
+              | (a, i) :: rest ->
+                (match Ocolos_bolt.Frame_map.resolve fm a with
+                | None ->
+                  Alcotest.fail
+                    (Fmt.str "fid %d: old 0x%x (%s) has no exact map entry" fid a
+                       (Instr.to_string i))
+                | Some n -> (
+                  match (i, Hashtbl.find_opt new_code n) with
+                  | Instr.Branch (c, _, _), Some (Instr.Branch (c', _, _)) when c' <> c ->
+                    incr negated
+                  | _ -> ()));
+                walk rest
+            in
+            walk (old_instrs bs.Ocolos_bolt.Frame_map.bs_old_start))
+          fm.Ocolos_bolt.Frame_map.fm_blocks)
+      r.Ocolos_bolt.Bolt.frame_maps
+  in
+  let b0 = w.Workload.binary in
+  let r1 = Ocolos_bolt.Bolt.run ~binary:b0 ~profile:(run_profile b0) () in
+  check b0 r1;
+  let b1 = r1.Ocolos_bolt.Bolt.merged in
+  check b1 (Ocolos_bolt.Bolt.run ~binary:b1 ~profile:(run_profile b1) ());
+  (* Both special cases must actually occur, or the property is vacuous. *)
+  Alcotest.(check bool) "some branch was re-emitted negated" true (!negated > 0);
+  Alcotest.(check bool) "some jump-table window was seen" true (!windows > 0)
+
 let suite =
   [ Alcotest.test_case "reconstruction matches debug info" `Quick
       test_reconstruction_matches_debug_info;
@@ -422,4 +494,6 @@ let suite =
     Alcotest.test_case "reorders are permutations" `Quick test_func_reorder_permutations;
     Alcotest.test_case "peephole" `Quick test_peephole;
     Alcotest.test_case "full pipeline invariants" `Quick test_full_pipeline_invariants;
-    Alcotest.test_case "bolt on bolted binary" `Quick test_bolt_handles_bolted_binary ]
+    Alcotest.test_case "bolt on bolted binary" `Quick test_bolt_handles_bolted_binary;
+    Alcotest.test_case "frame maps exact outside dispatch windows" `Quick
+      test_frame_maps_exact ]

@@ -126,10 +126,84 @@ let test_attach_revert_cycles_leak_no_text () =
   Proc.run ~cycle_limit:infinity ~max_instrs:60_000 proc;
   Alcotest.(check bool) "still making progress" true (Proc.transactions proc > tx)
 
+(* The one place a frame map is deliberately not exact: a jump-table
+   dispatch window. Its table-base [Alui] names the old table, and the
+   [Load]/[JumpInd] after it read through a register computed from that
+   base, so a thread paused there continues in a verbatim copy of the old
+   code — reading the old table, which stays mapped as an inherited word
+   until the copy drains. Step one thread onto such an [Alui], replace,
+   and follow the copy from creation to reaping. *)
+let test_dispatch_window_pc_migrates_by_copy () =
+  let base = Apps.tiny ~tx_limit:None () in
+  let w =
+    Workload.build ~no_jump_tables:false ~name:"tiny-jt" ~inputs:base.Workload.inputs
+      ~nthreads:2 base.Workload.gen
+  in
+  let proc = Workload.launch w ~input:(Workload.find_input w "a") in
+  let oc = O.attach proc in
+  let mem = proc.Proc.mem in
+  let run n = Proc.run ~engine:`Reference ~cycle_limit:infinity ~max_instrs:n proc in
+  run 40_000;
+  O.start_profiling oc;
+  run 60_000;
+  let profile, _ = O.stop_profiling oc in
+  let result, _ = O.run_bolt oc profile in
+  (* Old-text table-base Alui addresses the frame maps leave out. *)
+  let windows = Hashtbl.create 16 in
+  List.iter
+    (fun (_, (fm : Ocolos_bolt.Frame_map.t)) ->
+      Array.iter
+        (fun (bs : Ocolos_bolt.Frame_map.block_site) ->
+          let a = ref bs.Ocolos_bolt.Frame_map.bs_old_start in
+          while !a < bs.Ocolos_bolt.Frame_map.bs_old_end do
+            match Addr_space.read_code mem !a with
+            | None -> a := bs.Ocolos_bolt.Frame_map.bs_old_end
+            | Some i ->
+              let next = !a + Ocolos_isa.Instr.size i in
+              (match (i, Addr_space.read_code mem next) with
+              | Ocolos_isa.Instr.Alui (Ocolos_isa.Instr.Add, s, _, _),
+                Some (Ocolos_isa.Instr.Load (s', s'', 0))
+                when s' = s && s'' = s && Ocolos_bolt.Frame_map.resolve fm !a = None ->
+                Hashtbl.replace windows !a ()
+              | _ -> ());
+              a := next
+          done)
+        fm.Ocolos_bolt.Frame_map.fm_blocks)
+    result.Ocolos_bolt.Bolt.frame_maps;
+  Alcotest.(check bool) "BOLT result has unmapped dispatch windows" true
+    (Hashtbl.length windows > 0);
+  let thread = proc.Proc.threads.(0) in
+  let steps = ref 0 in
+  while (not (Hashtbl.mem windows thread.Ocolos_proc.Thread.pc)) && !steps < 1_000_000 do
+    Proc.step proc thread;
+    incr steps
+  done;
+  let old_pc = thread.Ocolos_proc.Thread.pc in
+  Alcotest.(check bool) "thread paused on a table-base Alui" true (Hashtbl.mem windows old_pc);
+  let alui = Addr_space.read_code mem old_pc in
+  let stats = O.replace_code oc result in
+  Alcotest.(check bool) "function evacuated by copy" true (stats.O.copied_funcs > 0);
+  let new_pc = thread.Ocolos_proc.Thread.pc in
+  Alcotest.(check bool) "PC moved out of the retired text" true (new_pc <> old_pc);
+  Alcotest.(check bool) "old text unmapped" true (Addr_space.read_code mem old_pc = None);
+  Alcotest.(check bool) "PC lands on the copied Alui" true (Addr_space.read_code mem new_pc = alui);
+  Alcotest.(check bool) "copy is residue" true (O.resident_extra_bytes oc > 0);
+  O.verify_no_dangling oc ~freed:[];
+  (* The copy finishes its dispatch through the old table, drains, and is
+     reaped together with the table words it read. *)
+  let tx = Proc.transactions proc in
+  run 200_000;
+  ignore (O.gc_residue oc);
+  Alcotest.(check int) "residue reaped after the drain" 0 (O.resident_extra_bytes oc);
+  O.verify_no_dangling oc ~freed:[];
+  Alcotest.(check bool) "still making progress" true (Proc.transactions proc > tx)
+
 let suite =
   [ Alcotest.test_case "never-returning entry replaced" `Slow
       test_never_returning_entry_replaced;
     Alcotest.test_case "scanner covers engine pointers" `Quick
       test_scanner_covers_engine_pointers;
     Alcotest.test_case "attach/revert cycles leak no text" `Quick
-      test_attach_revert_cycles_leak_no_text ]
+      test_attach_revert_cycles_leak_no_text;
+    Alcotest.test_case "dispatch-window PC migrates by copy" `Quick
+      test_dispatch_window_pc_migrates_by_copy ]

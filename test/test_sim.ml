@@ -78,7 +78,6 @@ let test_rss_model () =
       call_sites_patched = 10;
       stack_live_funcs = 4;
       frames_migrated = 6;
-      osr_stubs = 1;
       copied_funcs = 0;
       funcs_optimized = 5;
       code_bytes_injected = 5000;

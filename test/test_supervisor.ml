@@ -1,6 +1,7 @@
 (* Crash-recovery tests: Supervisor.kill_at / restart and the Chaos
    kill-at-every-point property, on a subset of the fault catalog covering
-   every domain (the CI chaos job sweeps the full catalog x seeds). *)
+   every domain (the CI chaos job sweeps Chaos.default_points x seeds),
+   plus a fleet kill at gc_reap. *)
 
 open Ocolos_workloads
 module Daemon = Ocolos_core.Daemon
@@ -11,9 +12,9 @@ module Fault = Ocolos_util.Fault
 
 (* One point per fault domain, plus the transaction points whose kill paths
    exercise distinct recovery machinery: rollback of a half-applied
-   replacement (pause/inject_code/commit), a death mid-frame-rewrite or
-   mid-stub-build (osr_frame/osr_stub), and reattach over a committed later
-   version with residue outstanding (gc_reap needs a stub to die first). *)
+   replacement (pause/inject_code/commit) and a death mid-frame-rewrite
+   (osr_frame). [gc_reap] is covered by the fleet scenario below: only a
+   revert leaves residue for it to reap. *)
 let subset_points =
   [ "perf.detach";
     "perf2bolt.aggregate";
@@ -23,9 +24,7 @@ let subset_points =
     "pause";
     "inject_code";
     "commit";
-    "osr_frame";
-    "osr_stub";
-    "gc_reap" ]
+    "osr_frame" ]
 
 let test_chaos_subset_sweep () =
   let results = Chaos.sweep ~seeds:[ 1 ] ~points:subset_points () in
@@ -34,19 +33,16 @@ let test_chaos_subset_sweep () =
     (fun r ->
       if not (Chaos.passed r) then
         Alcotest.fail (Printf.sprintf "chaos scenario failed: %s" (Chaos.result_to_string r)))
-    results;
-  (* Reaping needs residue from an earlier committed round to die: a gc_reap
-     death proves the restarted daemon reattached over a non-initial
-     committed version. *)
-  List.iter
-    (fun r ->
-      match r.Chaos.r_outcome with
-      | Chaos.Verified { survivor_version; _ } when r.Chaos.r_point = "gc_reap" ->
-        Alcotest.(check bool)
-          (r.Chaos.r_point ^ " dies with a committed replacement live")
-          true (survivor_version >= 1)
-      | _ -> ())
     results
+
+(* Reaping needs residue to die, and only a revert leaves residue: in a
+   fleet, a canary rollback reverts replicas, and the next rollout's
+   replacement reaps the drained copies. A death there strands a mixed
+   fleet, which the restart must revert and drive to a homogeneous state. *)
+let test_chaos_fleet_gc_reap () =
+  let r = Chaos.fleet_scenario ~seed:1 ~point:"gc_reap" () in
+  let desc = Chaos.fleet_result_to_string ~seed:1 ~point:"gc_reap" r in
+  Alcotest.(check bool) ("fleet chaos passed: " ^ desc) true (Chaos.fleet_passed r)
 
 let setup ?(seed = 5) ?fault () =
   let w = Apps.tiny ~tx_limit:None () in
@@ -122,4 +118,5 @@ let suite =
       test_kill_at_survives_unreached_point;
     Alcotest.test_case "restart carries guard state" `Quick test_restart_carries_guard_state;
     Alcotest.test_case "restart on clean process" `Quick test_restart_on_clean_process;
-    Alcotest.test_case "chaos: kill/restart subset sweep" `Slow test_chaos_subset_sweep ]
+    Alcotest.test_case "chaos: kill/restart subset sweep" `Slow test_chaos_subset_sweep;
+    Alcotest.test_case "chaos: fleet kill at gc_reap" `Slow test_chaos_fleet_gc_reap ]

@@ -148,14 +148,7 @@ let setup () =
   let input = Workload.find_input w "a" in
   let proc = Workload.launch w ~input in
   let fault = F.create ~seed:11 () in
-  (* Boundary-only frame maps: every mid-block PC then needs a compensation
-     stub, so the osr_stub point is exercised by the sweep. *)
-  let config =
-    { O.default_config with
-      O.fault = Some fault;
-      O.bolt = { O.default_config.O.bolt with Ocolos_bolt.Bolt.exact_frame_maps = false } }
-  in
-  let oc = O.attach ~config proc in
+  let oc = O.attach ~config:{ O.default_config with O.fault = Some fault } proc in
   Proc.run ~cycle_limit:infinity ~max_instrs:40_000 proc;
   (proc, oc, fault)
 
@@ -216,18 +209,34 @@ let sweep_round ~tag proc oc fault result =
     counts;
   (counts, !attempts)
 
+(* Commit one more version and revert it straight away. The revert has no
+   frame map back into the older text, so it evacuates every thread's
+   frames into copies; once those drain, the next forward round's reap
+   finds them dead. A forward round leaves residue only for a PC paused in
+   a jump-table dispatch window, which the sweep cannot count on. *)
+let commit_and_revert proc oc =
+  let sn = O.snapshot oc in
+  (match Txn.replace_code oc (profile_and_bolt proc oc) with
+  | Txn.Committed _ -> ()
+  | Txn.Rolled_back _ -> Alcotest.fail "unarmed commit rolled back"
+  | Txn.Diverged _ -> Alcotest.fail "unarmed commit diverged");
+  let rv = O.revert oc sn in
+  Alcotest.(check bool) "revert made copies" true (rv.O.rv_copied_funcs > 0)
+
 let test_rollback_every_point_every_seed () =
   let proc, oc, fault = setup () in
   (* Every round retires the re-emitted functions' old text (round 1 dooms
      their C0 ranges), so the OSR points (osr_frame per paused thread,
-     osr_map per doomed-pointer resolution, osr_stub per compensation-stub
-     build), gc_unmap and verify are reachable from round 1; gc_reap needs
-     an earlier round's residue to go dead, so rounds 2-3 cover it. After
-     each sweep the same swept state must still commit cleanly — that is
-     the commit-fully half of the invariant. *)
+     osr_map per doomed-pointer resolution), gc_unmap and verify are
+     reachable from round 1; gc_reap needs residue to go dead, so rounds
+     2-3 start with a committed-then-reverted version whose copies drain
+     while the round profiles. After each sweep the same swept state must
+     still commit cleanly — that is the commit-fully half of the
+     invariant. *)
   let total_attempts = ref 0 in
   let reached = Hashtbl.create 16 in
   for round = 1 to 3 do
+    if round > 1 then commit_and_revert proc oc;
     let result = profile_and_bolt proc oc in
     let counts, attempts = sweep_round ~tag:(Printf.sprintf "r%d" round) proc oc fault result in
     total_attempts := !total_attempts + attempts;
@@ -266,19 +275,13 @@ let record_branches (proc : Proc.t) =
    (optionally) one rolled-back attempt at [point], then record the full
    taken-branch trace to termination. With rollback being exact, the
    attempt side must match the no-attempt side branch for branch —
-   under every execution engine. Boundary-only frame maps keep the
-   compensation-stub path hot in continuous rounds. *)
+   under every execution engine. *)
 let traced_run ?(engine = `Blocks) ~rounds_before ~point () =
   let w = Apps.tiny ~tx_limit:(Some 300) () in
   let input = Workload.find_input w "a" in
   let proc = Workload.launch w ~input in
   let fault = F.create ~seed:3 () in
-  let config =
-    { O.default_config with
-      O.fault = Some fault;
-      O.bolt = { O.default_config.O.bolt with Ocolos_bolt.Bolt.exact_frame_maps = false } }
-  in
-  let oc = O.attach ~config proc in
+  let oc = O.attach ~config:{ O.default_config with O.fault = Some fault } proc in
   let run n = Proc.run ~engine ~cycle_limit:infinity ~max_instrs:n proc in
   run 40_000;
   let profile_and_bolt () =
@@ -327,9 +330,8 @@ let test_trace_identical_after_first_round_rollback () =
         reference)
     [ ("pause", 1); ("inject_code", 17); ("vtable_patch", 2); ("commit", 1) ]
 
-(* The OSR fault points — kill mid-frame-rewrite (osr_frame), map-lookup
-   miss path (osr_map), compensation-stub failure (osr_stub) — swept under
-   both execution engines: after the rollback, the surviving version's
+(* The OSR fault points — kill mid-frame-rewrite (osr_frame) and on the
+   map-lookup path (osr_map) — swept under both execution engines: after the rollback, the surviving version's
    taken-branch trace must be byte-identical to a run that never attempted
    the replacement. *)
 let test_trace_identical_after_continuous_rollback () =
@@ -342,7 +344,7 @@ let test_trace_identical_after_continuous_rollback () =
             (Printf.sprintf "%s: continuous rollback at %s:%d" ename p nth)
             (traced_run ~engine ~rounds_before:1 ~point:(Some (p, nth)) ())
             reference)
-        [ ("osr_frame", 1); ("osr_map", 1); ("osr_stub", 1); ("gc_unmap", 5); ("verify", 1) ])
+        [ ("osr_frame", 1); ("osr_map", 1); ("gc_unmap", 5); ("verify", 1) ])
     [ ("reference", `Reference); ("blocks", `Blocks) ]
 
 (* ---- code-cache severing on rollback (`Blocks engine) ---- *)
