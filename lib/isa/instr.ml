@@ -52,6 +52,10 @@ let size = function
   | TxMark -> 1
   | Halt -> 1
 
+(* The widest encoding ([FpCreate], [VtLoad]): a code write can only
+   touch instructions that start fewer than this many bytes before it. *)
+let max_size = 7
+
 (* Every register operand is in [0, num_regs). [Addr_space.write_code]
    rejects instructions that fail this, which is what lets the interpreter
    access register files unchecked. *)

@@ -42,6 +42,9 @@ type t =
 (** Encoded size in bytes (x86-64-like). *)
 val size : t -> int
 
+(** The largest {!size} of any instruction. *)
+val max_size : int
+
 (** Every register operand is in [0, num_regs). Checked once per
     instruction at code-map write time ([Addr_space.write_code]), which is
     what lets the interpreter access register files unchecked. *)

@@ -5,8 +5,11 @@
    [b_start]: it extends instruction by instruction until a control transfer
    (which, if present, is always the *last* entry), until the next address
    holds no instruction, or until [max_len]. Entries are stored as parallel
-   unboxed arrays (address, byte size, instruction) so the executor touches
-   no hash table and allocates nothing while running a block.
+   arrays (address, byte size, instruction) so the executor reaches each
+   entry with an unchecked array read: no hash table, no option, no
+   allocation while running a block. Decoding allocates the block's three
+   exact-length arrays and a list cell per entry, nothing sized by
+   [max_len].
 
    Decoding is pure with respect to the machine: it only reads the code map
    (via the [read] callback), so predecoding ahead of execution has no
@@ -37,30 +40,24 @@ let decode ~read ?(max_len = default_max_len) start =
   | None -> None
   | Some first ->
     let max_len = max 1 max_len in
-    let addrs = Array.make max_len 0 in
-    let sizes = Array.make max_len 0 in
-    let instrs = Array.make max_len first in
-    let n = ref 0 in
-    let addr = ref start in
-    let continue = ref (Some first) in
-    while !continue <> None && !n < max_len do
-      let instr = match !continue with Some i -> i | None -> assert false in
-      let size = Instr.size instr in
-      addrs.(!n) <- !addr;
-      sizes.(!n) <- size;
-      instrs.(!n) <- instr;
-      incr n;
-      addr := !addr + size;
-      (* A control transfer ends the block; so does running off mapped code
-         (the next dispatch will fault or decode a fresh block there). *)
-      continue := (if Instr.is_control_flow instr then None else read !addr)
+    (* Collect the run newest-first, then fill arrays of exactly its length:
+       no [max_len]-sized scratch to allocate and trim per decode. A control
+       transfer ends the block; so does running off mapped code (the next
+       dispatch will fault or decode a fresh block there). *)
+    let rec scan rev n addr instr =
+      let rev = instr :: rev and n = n + 1 and next = addr + Instr.size instr in
+      if n >= max_len || Instr.is_control_flow instr then (rev, n, next)
+      else match read next with None -> (rev, n, next) | Some i -> scan rev n next i
+    in
+    let rev, n, b_end = scan [] 0 start first in
+    let instrs = Array.make n first in
+    List.iteri (fun k i -> Array.unsafe_set instrs (n - 1 - k) i) rev;
+    let sizes = Array.map Instr.size instrs in
+    let addrs = Array.make n start in
+    for k = 1 to n - 1 do
+      addrs.(k) <- addrs.(k - 1) + sizes.(k - 1)
     done;
-    Some
-      { b_start = start;
-        b_end = !addr;
-        b_addrs = Array.sub addrs 0 !n;
-        b_sizes = Array.sub sizes 0 !n;
-        b_instrs = Array.sub instrs 0 !n }
+    Some { b_start = start; b_end; b_addrs = addrs; b_sizes = sizes; b_instrs = instrs }
 
 (* True when the block's decoded entries still match [read]'s view of the
    code map — the coherence predicate the invalidation discipline maintains. *)

@@ -61,8 +61,9 @@ let[@inline] execute mem hooks (thread : Thread.t) ~pc ~size instr =
   thread.Thread.instret <- thread.Thread.instret + 1;
   let next = pc + size in
   match instr with
-  | Instr.Nop | Instr.TxMark ->
-    if instr = Instr.TxMark then Ocolos_uarch.Core.on_tx core;
+  | Instr.Nop -> thread.Thread.pc <- next
+  | Instr.TxMark ->
+    Ocolos_uarch.Core.on_tx core;
     thread.Thread.pc <- next
   | Instr.Alu (op, d, a, b) ->
     Array.unsafe_set regs d
@@ -148,11 +149,12 @@ type t = {
   mem : Addr_space.t;
   blocks : (int, Predecode.block) Hashtbl.t; (* entry address -> block *)
   cover : (int, int list) Hashtbl.t;
-      (* code byte -> entry addresses of blocks whose decoded entries span
-         it; the index that makes invalidation precise. Keyed by every byte
-         of every entry (not just instruction starts) so a write whose span
-         clips the tail of one instruction or crosses a block boundary
-         still reaches each overlapping block. *)
+      (* entry address -> starts of the cached blocks that decoded an
+         instruction there; the index that makes invalidation precise. An
+         instruction is at most [Instr.max_size] bytes, so [invalidate]
+         finds every entry a write can overlap — including one whose tail
+         the write clips — by probing the addresses from [max_size - 1]
+         bytes before the write to its end. *)
   memo : Predecode.block array; (* per-tid in-flight block ([no_block] = none) ... *)
   memo_idx : int array; (* ... and the entry index to resume at *)
   mutable gen : int; (* bumped on every code write; guards in-flight blocks *)
@@ -167,53 +169,58 @@ type t = {
 let no_block =
   { Predecode.b_start = -1; b_end = -1; b_addrs = [||]; b_sizes = [||]; b_instrs = [||] }
 
-(* Apply [f start byte] for every byte of every decoded entry of [b]. *)
-let iter_block_bytes (b : Predecode.block) f =
+let register t (b : Predecode.block) =
   let start = b.Predecode.b_start in
-  Array.iteri
-    (fun i addr ->
-      let size = Array.unsafe_get b.Predecode.b_sizes i in
-      for j = 0 to size - 1 do
-        f start (addr + j)
-      done)
+  Hashtbl.replace t.blocks start b;
+  Array.iter
+    (fun addr ->
+      let starts = match Hashtbl.find_opt t.cover addr with Some l -> l | None -> [] in
+      if not (List.mem start starts) then Hashtbl.replace t.cover addr (start :: starts))
     b.Predecode.b_addrs
 
-let register t (b : Predecode.block) =
-  Hashtbl.replace t.blocks b.Predecode.b_start b;
-  iter_block_bytes b (fun start byte ->
-      let starts = match Hashtbl.find_opt t.cover byte with Some l -> l | None -> [] in
-      if not (List.mem start starts) then Hashtbl.replace t.cover byte (start :: starts))
-
 let unregister t (b : Predecode.block) =
-  Hashtbl.remove t.blocks b.Predecode.b_start;
-  iter_block_bytes b (fun start byte ->
-      match Hashtbl.find_opt t.cover byte with
+  let start = b.Predecode.b_start in
+  Hashtbl.remove t.blocks start;
+  Array.iter
+    (fun addr ->
+      match Hashtbl.find_opt t.cover addr with
       | None -> ()
       | Some starts -> (
         match List.filter (fun s -> s <> start) starts with
-        | [] -> Hashtbl.remove t.cover byte
-        | rest -> Hashtbl.replace t.cover byte rest))
+        | [] -> Hashtbl.remove t.cover addr
+        | rest -> Hashtbl.replace t.cover addr rest))
+    b.Predecode.b_addrs
+
+(* True when [b]'s entry at [addr] has a byte in [start, start+len). *)
+let entry_overlaps (b : Predecode.block) addr ~start ~len =
+  let addrs = b.Predecode.b_addrs in
+  let rec find i =
+    if i >= Array.length addrs then false
+    else if addrs.(i) = addr then addr + b.Predecode.b_sizes.(i) > start && addr < start + len
+    else find (i + 1)
+  in
+  find 0
 
 (* A code write dirtying bytes [start, start+len): drop every cached block
    whose decoded entries overlap the span — not just the one keyed at
    [start]; a wide encoding can overlay the tail of one block and the head
    of the next — bump the generation so any in-flight block re-dispatches,
    and clear the per-thread memos (they may point at dropped blocks). The
-   probe touches at most [len] cover slots ([len] <= the widest encoding,
-   7 bytes), so invalidation stays O(write span), not O(cache). *)
+   probe touches at most [len + max_size - 1] cover slots ([len] <= the
+   widest encoding), so invalidation stays O(write span), not O(cache). *)
 let invalidate t ~start ~len =
   t.gen <- t.gen + 1;
-  for off = 0 to len - 1 do
-    match Hashtbl.find_opt t.cover (start + off) with
+  for addr = start - Instr.max_size + 1 to start + len - 1 do
+    match Hashtbl.find_opt t.cover addr with
     | None -> ()
     | Some starts ->
       List.iter
         (fun s ->
           match Hashtbl.find_opt t.blocks s with
-          | None -> ()
-          | Some b ->
+          | Some b when entry_overlaps b addr ~start ~len ->
             t.invalidations <- t.invalidations + 1;
-            unregister t b)
+            unregister t b
+          | _ -> ())
         starts
   done;
   Array.fill t.memo 0 (Array.length t.memo) no_block
@@ -250,10 +257,12 @@ let lookup t (thread : Thread.t) pc =
     m
   end
   else begin
+    (* [Hashtbl.find], not [find_opt]: most dispatches land here, and a
+       [Some] per dispatch would be the engine's largest allocation. *)
     let b =
-      match Hashtbl.find_opt t.blocks pc with
-      | Some b -> b
-      | None -> (
+      match Hashtbl.find t.blocks pc with
+      | b -> b
+      | exception Not_found -> (
         match Predecode.decode ~read:(fun a -> Addr_space.read_code t.mem a) pc with
         | Some b ->
           t.decodes <- t.decodes + 1;
@@ -274,14 +283,14 @@ let lookup t (thread : Thread.t) pc =
 let exec t hooks (thread : Thread.t) ~max_steps ~cycle_limit =
   let core = thread.Thread.core in
   (* With an infinite horizon the cycle condition is vacuously true (cycle
-     counts stay finite), so the per-instruction [Core.cycles] sum can be
+     counts stay finite), so the per-instruction [Core.below] check can be
      skipped without changing which instructions execute. *)
   let check_cycles = cycle_limit <> infinity in
   let n = ref 0 in
   while
     !n < max_steps
     && Thread.is_running thread
-    && ((not check_cycles) || Ocolos_uarch.Core.cycles core < cycle_limit)
+    && ((not check_cycles) || Ocolos_uarch.Core.below core cycle_limit)
   do
     let block = lookup t thread thread.Thread.pc in
     t.dispatches <- t.dispatches + 1;
@@ -296,7 +305,7 @@ let exec t hooks (thread : Thread.t) ~max_steps ~cycle_limit =
     let live = ref true in
     (* [n] and [k] advance in lockstep, so one bound covers both the block
        end and the step budget. *)
-    let stop = min (!n + (len - !k)) max_steps in
+    let stop = Int.min (!n + (len - !k)) max_steps in
     (* By the decode invariant, only the last entry can be a control
        transfer, so pc always equals the next entry's address inside the
        loop; a mid-block code write bumps [gen] and forces re-dispatch. *)
@@ -304,7 +313,7 @@ let exec t hooks (thread : Thread.t) ~max_steps ~cycle_limit =
       !live
       && !n < stop
       && t.gen = gen0
-      && ((not check_cycles) || Ocolos_uarch.Core.cycles core < cycle_limit)
+      && ((not check_cycles) || Ocolos_uarch.Core.below core cycle_limit)
     do
       let i = !k in
       execute t.mem hooks thread ~pc:(Array.unsafe_get addrs i)

@@ -95,31 +95,30 @@ let engine_of t =
     t.block_engine <- Some e;
     e
 
-(* The reference interpreter loop: one [step] per inner iteration. *)
+(* The reference interpreter loop: one [step] per inner iteration. Rounds
+   walk the threads with a [for] loop, not [Array.iter]: a closure over the
+   budget would allocate every round and box the loop's counters. *)
 let run_reference ~quantum ~max_instrs ~cycle_limit t =
   let budget = ref max_instrs in
   let progress = ref true in
   while !progress && !budget > 0 do
     progress := false;
-    Array.iter
-      (fun thread ->
-        if Thread.is_running thread
-           && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
-        then begin
-          let steps = min quantum !budget in
-          let i = ref 0 in
-          while
-            !i < steps
-            && Thread.is_running thread
-            && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
-          do
-            step t thread;
-            incr i
-          done;
-          budget := !budget - !i;
-          if !i > 0 then progress := true
-        end)
-      t.threads
+    for i = 0 to Array.length t.threads - 1 do
+      let thread = t.threads.(i) in
+      let core = thread.Thread.core in
+      if Thread.is_running thread && Ocolos_uarch.Core.below core cycle_limit then begin
+        let steps = Int.min quantum !budget in
+        let n = ref 0 in
+        while
+          !n < steps && Thread.is_running thread && Ocolos_uarch.Core.below core cycle_limit
+        do
+          step t thread;
+          incr n
+        done;
+        budget := !budget - !n;
+        if !n > 0 then progress := true
+      end
+    done
   done
 
 (* The decoded-block loop: identical scheduling (each thread turn executes up
@@ -133,17 +132,16 @@ let run_blocks ~quantum ~max_instrs ~cycle_limit t =
   (try
      while !progress && !budget > 0 do
        progress := false;
-       Array.iter
-         (fun thread ->
-           if Thread.is_running thread
-              && Ocolos_uarch.Core.cycles thread.Thread.core < cycle_limit
-           then begin
-             let steps = min quantum !budget in
-             let n = Block_engine.exec e t.hooks thread ~max_steps:steps ~cycle_limit in
-             budget := !budget - n;
-             if n > 0 then progress := true
-           end)
-         t.threads
+       for i = 0 to Array.length t.threads - 1 do
+         let thread = t.threads.(i) in
+         if Thread.is_running thread && Ocolos_uarch.Core.below thread.Thread.core cycle_limit
+         then begin
+           let steps = Int.min quantum !budget in
+           let n = Block_engine.exec e t.hooks thread ~max_steps:steps ~cycle_limit in
+           budget := !budget - n;
+           if n > 0 then progress := true
+         end
+       done
      done
    with exn ->
      sync_instret t;

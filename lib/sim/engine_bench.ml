@@ -10,7 +10,9 @@
    the median ratio with its interquartile range — a point estimate that a
    single noisy pair cannot move, unlike a best-of-N ratio. Both engines
    are deterministic over the same workload and seed, so the final uarch
-   counters must match bit for bit; [compare_engines] checks that too. *)
+   counters must match bit for bit; [compare_engines] checks that too.
+   Alongside wall time each run records the minor-heap words it allocated
+   per instruction: a deterministic work counter, immune to host noise. *)
 
 open Ocolos_workloads
 module Stats = Ocolos_util.Stats
@@ -19,6 +21,7 @@ type engine_sample = {
   wall_s : float; (* median wall time over the repeats *)
   instructions : int; (* instructions retired in a measured run *)
   ips : float; (* instructions / wall_s *)
+  alloc_words_per_instr : float; (* median minor words per instruction *)
 }
 
 type comparison = {
@@ -43,23 +46,31 @@ let default_repeats = 10
 let run_once ~engine ~max_instrs w ~input =
   let proc = Workload.launch w ~input in
   Gc.full_major ();
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   Ocolos_proc.Proc.run proc ~engine ~max_instrs ~cycle_limit:infinity;
   let wall = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
-  (wall, proc.Ocolos_proc.Proc.instret, Ocolos_proc.Proc.total_counters proc)
+  let instret = proc.Ocolos_proc.Proc.instret in
+  let alloc = (Gc.minor_words () -. w0) /. float_of_int (max 1 instret) in
+  (wall, alloc, instret, Ocolos_proc.Proc.total_counters proc)
 
-let sample walls instructions =
+let sample walls allocs instructions =
   let wall_s = Stats.median walls in
-  { wall_s; instructions; ips = float_of_int instructions /. wall_s }
+  { wall_s;
+    instructions;
+    ips = float_of_int instructions /. wall_s;
+    alloc_words_per_instr = Stats.median allocs }
 
 let compare_engines ?(repeats = default_repeats) ?(max_instrs = default_max_instrs) w
     ~input =
   let repeats = max 1 repeats in
   let ref_walls = Array.make repeats 0.0 and blk_walls = Array.make repeats 0.0 in
+  let ref_allocs = Array.make repeats 0.0 and blk_allocs = Array.make repeats 0.0 in
   let first = ref None and instructions = ref 0 and counters_equal = ref true in
-  let measure engine walls i =
-    let wall, instret, c = run_once ~engine ~max_instrs w ~input in
+  let measure engine walls allocs i =
+    let wall, alloc, instret, c = run_once ~engine ~max_instrs w ~input in
     walls.(i) <- wall;
+    allocs.(i) <- alloc;
     instructions := instret;
     match !first with
     | None -> first := Some (instret, c)
@@ -67,12 +78,12 @@ let compare_engines ?(repeats = default_repeats) ?(max_instrs = default_max_inst
   in
   for i = 0 to repeats - 1 do
     if i mod 2 = 0 then begin
-      measure `Reference ref_walls i;
-      measure `Blocks blk_walls i
+      measure `Reference ref_walls ref_allocs i;
+      measure `Blocks blk_walls blk_allocs i
     end
     else begin
-      measure `Blocks blk_walls i;
-      measure `Reference ref_walls i
+      measure `Blocks blk_walls blk_allocs i;
+      measure `Reference ref_walls ref_allocs i
     end
   done;
   let ratios = Array.init repeats (fun i -> ref_walls.(i) /. blk_walls.(i)) in
@@ -80,8 +91,8 @@ let compare_engines ?(repeats = default_repeats) ?(max_instrs = default_max_inst
     input = input.Input.name;
     instructions = !instructions;
     repeats;
-    reference = sample ref_walls !instructions;
-    blocks = sample blk_walls !instructions;
+    reference = sample ref_walls ref_allocs !instructions;
+    blocks = sample blk_walls blk_allocs !instructions;
     speedup = Stats.median ratios;
     q1 = Stats.percentile ratios 25.0;
     q3 = Stats.percentile ratios 75.0;
@@ -91,7 +102,8 @@ let sample_to_json s =
   Ocolos_obs.Json.Obj
     [ ("wall_s", Ocolos_obs.Json.Float s.wall_s);
       ("instructions", Ocolos_obs.Json.Int s.instructions);
-      ("ips", Ocolos_obs.Json.Float s.ips) ]
+      ("ips", Ocolos_obs.Json.Float s.ips);
+      ("alloc_words_per_instr", Ocolos_obs.Json.Float s.alloc_words_per_instr) ]
 
 let to_json c =
   Ocolos_obs.Json.Obj

@@ -10,6 +10,9 @@ type engine_sample = {
   wall_s : float;  (** median wall-clock seconds over the repeats *)
   instructions : int;  (** instructions retired in a measured run *)
   ips : float;  (** instructions per wall-clock second at [wall_s] *)
+  alloc_words_per_instr : float;
+      (** median minor-heap words allocated per instruction retired; a
+          deterministic counter, unlike [wall_s] *)
 }
 
 type comparison = {

@@ -18,7 +18,7 @@ val lookup : t -> int -> int option
     Returns 0 on miss, 1 on a correct hit, 2 on a wrong-target hit. *)
 val lookup_class : t -> int -> target:int -> int
 
-(** Record that the transfer at [pc] went to [target]. *)
+(** Record that the transfer at [pc] went to [target]; allocates nothing. *)
 val update : t -> int -> int -> unit
 
 val reset_counters : t -> unit

@@ -70,22 +70,26 @@ let set_of t line = line land (t.sets - 1)
    the least-recently-used way. *)
 (* [set] is masked into range and the way loops are bounded by the row
    length, so the unchecked array reads below are safe; this path runs
-   once or more per simulated instruction. *)
-let find_way tags ways line =
-  let rec go w =
-    if w >= ways then -1 else if Array.unsafe_get tags w = line then w else go (w + 1)
-  in
-  go 0
+   once or more per simulated instruction. The probes are top-level
+   recursive functions over [int array]s: a local [let rec] would allocate
+   a closure per call, and an unannotated row would compile [=]/[<] to the
+   polymorphic C compare. *)
+let rec find_way (tags : int array) ways line w =
+  if w >= ways then -1 else if Array.unsafe_get tags w = line then w
+  else find_way tags ways line (w + 1)
 
 (* Victim: first invalid way if any, else least-recently-used (ties go to
    the lowest way index, matching the strict-< scan). *)
-let victim_way tags stamp ways =
-  let rec go v w =
-    if w >= ways then v
-    else if Array.unsafe_get tags w = -1 then w
-    else go (if Array.unsafe_get stamp w < Array.unsafe_get stamp v then w else v) (w + 1)
-  in
-  if Array.unsafe_get tags 0 = -1 then 0 else go 0 1
+let rec victim_from (tags : int array) (stamp : int array) ways v w =
+  if w >= ways then v
+  else if Array.unsafe_get tags w = -1 then w
+  else
+    victim_from tags stamp ways
+      (if Array.unsafe_get stamp w < Array.unsafe_get stamp v then w else v)
+      (w + 1)
+
+let victim_way (tags : int array) stamp ways =
+  if Array.unsafe_get tags 0 = -1 then 0 else victim_from tags stamp ways 0 1
 
 let access t addr =
   t.tick <- t.tick + 1;
@@ -99,7 +103,7 @@ let access t addr =
     true
   end
   else begin
-    let w = find_way tags t.ways line in
+    let w = find_way tags t.ways line 0 in
     if w >= 0 then begin
       Array.unsafe_set stamp w t.tick;
       t.hits <- t.hits + 1;
@@ -129,7 +133,7 @@ let prefetch t addr =
   let tags = Array.unsafe_get t.tags set in
   if line = t.p_line && Array.unsafe_get tags t.p_way = line then true
   else begin
-    let w = find_way tags t.ways line in
+    let w = find_way tags t.ways line 0 in
     if w >= 0 then begin
       t.p_line <- line;
       t.p_way <- w;
@@ -150,10 +154,7 @@ let prefetch t addr =
 (* Probe without updating state or counters. *)
 let probe t addr =
   let line = line_of t addr in
-  let set = set_of t line in
-  let tags = t.tags.(set) in
-  let rec find w = if w >= t.ways then false else tags.(w) = line || find (w + 1) in
-  find 0
+  find_way t.tags.(set_of t line) t.ways line 0 >= 0
 
 let reset_counters t =
   t.hits <- 0;

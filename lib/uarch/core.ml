@@ -5,9 +5,13 @@
    Each simulated thread owns one core (the paper's testbed has at least as
    many cores as steady-state worker threads). *)
 
-(* All-float record: OCaml stores these fields flat and unboxed, so the
-   per-instruction cycle accounting allocates nothing. Keeping them in a
-   mixed record would box every [<-] on a float field. *)
+(* All-float record: OCaml stores these fields flat and unboxed, so
+   updating them allocates nothing. Keeping them in a mixed record would box
+   every [<-] on a float field. The per-instruction event path allocates
+   nothing as long as no float it computes leaves this module: the DRAM
+   models add into these fields in place, and callers test the cycle
+   horizon with [below] rather than comparing the (boxed) result of
+   [cycles]. *)
 type cyc = {
   mutable base : float;
   mutable fe : float;
@@ -117,22 +121,30 @@ let[@inline] fire_fe t ev addr =
 
 (* Issue ("base") cycles. With [exact_base] the stored accumulator stays 0
    and the product below is bit-identical to what the accumulator would
-   hold; otherwise [cyc.base] carries the per-fetch sum. *)
-let base_cycles t =
+   hold; otherwise [cyc.base] carries the per-fetch sum. The cycle sums are
+   inlined so that no float they produce is boxed inside this module. *)
+let[@inline] base_cycles t =
   if t.exact_base then float_of_int t.instructions *. t.issue_cost else t.cyc.base
 
-let cycles t = base_cycles t +. t.cyc.fe +. t.cyc.bs +. t.cyc.be
+let[@inline] cycles t = base_cycles t +. t.cyc.fe +. t.cyc.bs +. t.cyc.be
+
+(* [cycles t < limit], for callers outside this module: a [bool] crosses
+   the module boundary unboxed, whereas the float [cycles] returns is boxed
+   unless the call is inlined (and [-opaque] builds never inline it). The
+   dispatch loops check the cycle horizon through this once per
+   instruction. *)
+let below t limit = cycles t < limit
 
 (* Core-issue ("demand") time: cycles excluding back-end memory stalls.
    Measures how bursty the core's memory demand is independent of the
    backpressure those requests later suffer. *)
-let demand_cycles t = base_cycles t +. t.cyc.fe +. t.cyc.bs
+let[@inline] demand_cycles t = base_cycles t +. t.cyc.fe +. t.cyc.bs
 
 (* DRAM for instruction fetch: blocking, full latency (the front-end cannot
    overlap a fetch miss). *)
 let dram_ifetch t =
   t.l2_misses <- t.l2_misses + 1;
-  float_of_int t.cfg.dram_latency
+  t.cyc.fe <- t.cyc.fe +. float_of_int t.cfg.dram_latency
 
 (* DRAM for data: latency is overlapped by memory-level parallelism, but
    requests issued close together in *demand time* suffer bank conflicts at
@@ -140,7 +152,9 @@ let dram_ifetch t =
    the paper's MongoDB scan95insert5 inversion ("poor memory controller
    scheduling"): a layout-optimized front-end issues the same stream of
    misses in a burstier pattern, losing controller efficiency, while
-   spread-out request streams are unaffected. *)
+   spread-out request streams are unaffected. The [max]es are plain
+   compares: both operands are finite, so they agree with [Float.max]
+   (which costs a [caml_signbit] call). *)
 let dram_data t =
   let now = cycles t in
   let demand = demand_cycles t in
@@ -150,10 +164,12 @@ let dram_data t =
     else float_of_int t.cfg.dram_base_interval
   in
   t.cyc.dram_last_arrival <- demand;
-  let wait = Float.max 0.0 (t.cyc.dram_next_free -. now) in
-  t.cyc.dram_next_free <- Float.max now t.cyc.dram_next_free +. interval;
+  let next_free = t.cyc.dram_next_free in
+  let wait = if next_free -. now > 0.0 then next_free -. now else 0.0 in
+  t.cyc.dram_next_free <- (if now > next_free then now else next_free) +. interval;
   t.l2_misses <- t.l2_misses + 1;
-  wait +. (float_of_int t.cfg.dram_latency /. float_of_int t.cfg.dram_mlp)
+  t.cyc.be <-
+    t.cyc.be +. (wait +. (float_of_int t.cfg.dram_latency /. float_of_int t.cfg.dram_mlp))
 
 (* Instruction fetch: charge L1i and iTLB effects once per line / page
    transition, covering lines an instruction straddles. The [fetch] wrapper
@@ -175,7 +191,7 @@ let fetch_slow t ~addr ~size =
           t.cyc.fe <- t.cyc.fe +. float_of_int t.cfg.l2_latency
         else if Cache.access t.l3 byte then
           t.cyc.fe <- t.cyc.fe +. float_of_int t.cfg.l3_latency
-        else t.cyc.fe <- t.cyc.fe +. dram_ifetch t
+        else dram_ifetch t
       end;
       (* Next-line prefetcher: straight-line code streams hide their own
          fetch misses, which is a large part of why packed layouts win. *)
@@ -268,7 +284,7 @@ let on_mem_miss t ~addr =
   t.l1d_misses <- t.l1d_misses + 1;
   if Cache.access t.l2 addr then t.cyc.be <- t.cyc.be +. float_of_int t.cfg.l2_latency
   else if Cache.access t.l3 addr then t.cyc.be <- t.cyc.be +. float_of_int t.cfg.l3_latency
-  else t.cyc.be <- t.cyc.be +. dram_data t
+  else dram_data t
 
 let[@inline] on_mem t ~addr =
   t.l1d_accesses <- t.l1d_accesses + 1;

@@ -25,6 +25,11 @@ val set_fe_observer : t -> (fe_event -> int -> unit) option -> unit
 (** Total cycles so far (base + front-end + bad-speculation + back-end). *)
 val cycles : t -> float
 
+(** [below t limit] is [cycles t < limit]. Hot loops check their cycle
+    horizon with this rather than {!cycles}: a [bool] result crosses the
+    module boundary without boxing a float. *)
+val below : t -> float -> bool
+
 (** Per-instruction fetch accounting (L1i, iTLB, issue slots). *)
 val fetch : t -> addr:int -> size:int -> unit
 

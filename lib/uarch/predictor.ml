@@ -29,7 +29,7 @@ let predict_and_update t pc ~taken =
   let correct = predicted = taken in
   if not correct then t.mispredictions <- t.mispredictions + 1;
   let c = t.counters.(i) in
-  t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+  t.counters.(i) <- (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
   t.history <- ((t.history lsl 1) lor if taken then 1 else 0) land ((1 lsl t.history_bits) - 1);
   correct
 
@@ -54,7 +54,7 @@ module Ras = struct
   let push t addr =
     t.slots.(t.top) <- addr;
     t.top <- (t.top + 1) mod Array.length t.slots;
-    t.depth <- min (Array.length t.slots) (t.depth + 1)
+    t.depth <- Int.min (Array.length t.slots) (t.depth + 1)
 
   (* Pop the predicted return address; None if empty (mispredict). *)
   let pop t =

@@ -1,6 +1,7 @@
 (** Open-addressing int-to-int hash table for the simulator's data memory:
-    [find_default] allocates nothing and never leaves OCaml (stdlib
-    [Hashtbl] pays a [caml_hash] C call per operation). Linear probing,
+    [find_default], and [replace] of a bound key, allocate nothing and
+    never leave OCaml (stdlib [Hashtbl] pays a [caml_hash] C call per
+    operation). Linear probing,
     Fibonacci hashing, tombstone deletion. Keys must stay away from
     [min_int] (simulated addresses do). *)
 
@@ -21,7 +22,8 @@ val find_default : t -> int -> default:int -> int
 val find_opt : t -> int -> int option
 val mem : t -> int -> bool
 
-(** Bind [key] (inserting or overwriting). *)
+(** Bind [key] (inserting or overwriting). Overwriting allocates nothing;
+    an insertion that regrows the table allocates the new arrays. *)
 val replace : t -> int -> int -> unit
 
 (** Remove [key]'s binding if present. *)

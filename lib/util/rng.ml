@@ -1,23 +1,34 @@
 (* Deterministic splitmix64 PRNG. All simulation randomness flows through
    this module so that every experiment is reproducible from a seed. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than a [mutable int64] field:
+   [Bytes.get_int64_le]/[set_int64_le] compile to unboxed loads and stores
+   in native code, whereas every write to an [int64] field boxes a fresh
+   [Int64] and pays a [caml_modify]. A simulated [Rand] instruction
+   therefore allocates nothing. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let copy = Bytes.copy
+
+(* Inlined into [bits] so the 64-bit intermediate never leaves a register. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* A fresh generator whose stream is independent of the parent's future. *)
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 

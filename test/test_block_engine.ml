@@ -293,6 +293,29 @@ let test_write_code_rejects_bad_regs () =
     (Instr.valid_regs (Instr.Alu (Instr.Add, 0, Instr.num_regs - 1, 1)));
   Alcotest.(check bool) "valid_regs rejects" false (Instr.valid_regs (Instr.Movi (99, 1)))
 
+(* ---- the engine's steady state allocates nothing per instruction ---- *)
+
+(* The memcached analog past its warm-up, on the default engine with a
+   finite cycle horizon, as a campaign window runs it. The window measures
+   0 words/instr; the bound leaves room for occasional decodes and
+   per-dispatch bookkeeping, while a single boxed float (2 words) or
+   closure per instruction still fails it. *)
+let test_blocks_alloc_per_instr () =
+  let w = Apps.memcached_like () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "set10_get90") in
+  let horizon s = Ocolos_sim.Clock.seconds_to_cycles s in
+  Proc.run ~engine:`Blocks ~cycle_limit:(horizon 0.6) proc;
+  let i0 = proc.Proc.instret in
+  let w0 = Gc.minor_words () in
+  Proc.run ~engine:`Blocks ~cycle_limit:(horizon 1.1) proc;
+  let words = Gc.minor_words () -. w0 in
+  let instrs = proc.Proc.instret - i0 in
+  Alcotest.(check bool) "window ran" true (instrs > 1_000_000);
+  let per_instr = words /. float_of_int instrs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words/instr < 1.0" per_instr)
+    true (per_instr < 1.0)
+
 let suite =
   [ Alcotest.test_case "differential: tiny app, fault + replacement" `Quick
       test_differential_tiny;
@@ -302,6 +325,7 @@ let suite =
     Alcotest.test_case "code write invalidates cached blocks" `Quick
       test_code_write_invalidates;
     Alcotest.test_case "engines interleave coherently" `Quick test_engines_interleave;
+    Alcotest.test_case "steady state allocates < 1 word/instr" `Quick test_blocks_alloc_per_instr;
     Alcotest.test_case "write spanning two blocks invalidates both" `Quick
       test_write_spanning_blocks_invalidates_both;
     Alcotest.test_case "write inside an instruction invalidates its block" `Quick

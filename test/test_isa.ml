@@ -26,6 +26,13 @@ let test_sizes_positive () =
     (fun i -> Alcotest.(check bool) (Instr.to_string i) true (Instr.size i > 0))
     all_instrs
 
+let test_sizes_bounded () =
+  List.iter
+    (fun i -> Alcotest.(check bool) (Instr.to_string i) true (Instr.size i <= Instr.max_size))
+    all_instrs;
+  Alcotest.(check int) "max_size is attained" Instr.max_size
+    (List.fold_left (fun m i -> max m (Instr.size i)) 0 all_instrs)
+
 let test_control_flow_classification () =
   Alcotest.(check bool) "branch is cf" true (Instr.is_control_flow (Instr.Branch (Instr.Eq, 0, 0)));
   Alcotest.(check bool) "call is cf" true (Instr.is_control_flow (Instr.Call 0));
@@ -168,6 +175,7 @@ let test_instr_counts () =
 
 let suite =
   [ Alcotest.test_case "sizes positive" `Quick test_sizes_positive;
+    Alcotest.test_case "sizes bounded by max_size" `Quick test_sizes_bounded;
     Alcotest.test_case "control-flow classification" `Quick test_control_flow_classification;
     Alcotest.test_case "static target" `Quick test_static_target;
     Alcotest.test_case "with_target" `Quick test_with_target;

@@ -356,6 +356,55 @@ let test_itlb_pressure () =
   Alcotest.(check int) "single-page loop misses once" 1
     (Core.snapshot core2).Counters.itlb_misses
 
+(* ---- the per-instruction primitives allocate nothing ---- *)
+
+(* Each probe drives a primitive through its slow paths (misses, fills,
+   evictions) as well as its hits: a closure or a boxed float anywhere on
+   those paths shows up as a nonzero word count. *)
+
+let test_cache_access_no_alloc () =
+  let c = Cache.create ~name:"t" ~sets:16 ~ways:4 ~line_bytes:64 in
+  let i = ref 0 in
+  Alloc.check_zero "Cache.access" (fun () ->
+      incr i;
+      (* Every third access repeats the previous line (the way memo); the
+         rest scatter, missing and evicting. *)
+      let addr = if !i mod 3 = 0 then Alloc.scatter (!i - 1) else Alloc.scatter !i in
+      ignore (Cache.access c addr));
+  Alcotest.(check bool) "pattern is miss-heavy" true (c.Cache.misses > c.Cache.hits)
+
+let test_cache_prefetch_no_alloc () =
+  let c = Cache.create ~name:"t" ~sets:16 ~ways:4 ~line_bytes:64 in
+  let i = ref 0 in
+  Alloc.check_zero "Cache.prefetch" (fun () ->
+      incr i;
+      ignore (Cache.prefetch c (Alloc.scatter (!i / 2))))
+
+let test_btb_no_alloc () =
+  let b = Btb.create ~entries:64 ~ways:4 in
+  let i = ref 0 in
+  Alloc.check_zero "Btb.lookup_class/update" (fun () ->
+      incr i;
+      (* 200 distinct branches over 64 entries: hits, wrong targets and
+         capacity evictions. *)
+      let pc = 2 * (!i mod 200) and target = !i mod 3 in
+      ignore (Btb.lookup_class b pc ~target);
+      Btb.update b pc target);
+  Alcotest.(check bool) "some lookups miss" true (Btb.misses b > 0)
+
+let test_core_no_alloc () =
+  let core = Core.create () in
+  let i = ref 0 in
+  Alloc.check_zero "Core.fetch/on_mem/on_cond_branch/below" (fun () ->
+      incr i;
+      let pc = if !i mod 4 = 0 then Alloc.scatter !i else 0x1000 + (4 * (!i mod 64)) in
+      Core.fetch core ~addr:pc ~size:4;
+      Core.on_mem core ~addr:(Alloc.scatter (!i * 7));
+      Core.on_cond_branch core ~pc ~taken:(!i mod 3 = 0) ~target:(pc + 64);
+      if not (Core.below core infinity) then Alcotest.fail "cycles reached infinity");
+  let c = Core.snapshot core in
+  Alcotest.(check bool) "data misses reached DRAM" true (c.Counters.l2_misses > 0)
+
 let suite =
   [ Alcotest.test_case "cache hit after access" `Quick test_cache_hit_after_access;
     Alcotest.test_case "next-line prefetch rewards sequential" `Quick
@@ -388,4 +437,8 @@ let suite =
     Alcotest.test_case "counters diff/add" `Quick test_counters_diff_add;
     Alcotest.test_case "counters mpki" `Quick test_counters_mpki;
     Alcotest.test_case "stall categories" `Quick test_stall_categories;
-    Alcotest.test_case "dram burst model" `Quick test_dram_burst_model ]
+    Alcotest.test_case "dram burst model" `Quick test_dram_burst_model;
+    Alcotest.test_case "cache access allocates nothing" `Quick test_cache_access_no_alloc;
+    Alcotest.test_case "cache prefetch allocates nothing" `Quick test_cache_prefetch_no_alloc;
+    Alcotest.test_case "btb lookup_class/update allocate nothing" `Quick test_btb_no_alloc;
+    Alcotest.test_case "core event path allocates nothing" `Quick test_core_no_alloc ]

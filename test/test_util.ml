@@ -113,6 +113,47 @@ let test_rng_split_independent () =
   let ys = List.init 20 (fun _ -> Rng.int b 1000000) in
   Alcotest.(check bool) "streams differ" true (xs <> ys)
 
+(* splitmix64 reference outputs for seed 0, plus the copy/split streams:
+   pins the generator independently of any workload golden. *)
+let test_rng_golden_stream () =
+  let r = Rng.create 0 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "splitmix64 seed 0" want (Rng.next_int64 r))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  let a = Rng.create 42 in
+  ignore (Rng.next_int64 a);
+  let c = Rng.copy a in
+  let s = Rng.split a in
+  let next g = Rng.next_int64 g in
+  let c1 = next c in
+  let c2 = next c in
+  Alcotest.(check (list int64)) "copy replays the parent, split draw first"
+    [ 0x28EFE333B266F103L; 0x47526757130F9F52L ] [ c1; c2 ];
+  let s1 = next s in
+  let s2 = next s in
+  Alcotest.(check (list int64)) "split stream"
+    [ 0xFC991BCA1A1AA1AEL; 0x4F0482A72B57EE7DL ] [ s1; s2 ];
+  Alcotest.(check int64) "parent continues past the split draw" 0x47526757130F9F52L (next a)
+
+let test_rng_int_no_alloc () =
+  let r = Rng.create 1 in
+  Alloc.check_zero "Rng.int" (fun () -> ignore (Rng.int r 1000))
+
+let test_itbl_no_alloc () =
+  let t = Itbl.create 16 in
+  for k = 0 to 99 do
+    Itbl.replace t (k * 8) k
+  done;
+  let i = ref 0 in
+  Alloc.check_zero "Itbl.find_default/replace" (fun () ->
+      incr i;
+      let key = 8 * (!i mod 150) in
+      (* Keys past 99 are absent, so probes both hit and run to an empty
+         slot; [replace] only overwrites existing bindings. *)
+      let v = Itbl.find_default t key ~default:(-1) in
+      if v >= 0 then Itbl.replace t key (v + 1));
+  Alcotest.(check int) "no insertions" 100 (Itbl.length t)
+
 let test_rng_bool_bias () =
   let rng = Rng.create 9 in
   let n = 10000 in
@@ -193,6 +234,9 @@ let suite =
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng golden stream" `Quick test_rng_golden_stream;
+    Alcotest.test_case "rng int allocates nothing" `Quick test_rng_int_no_alloc;
+    Alcotest.test_case "itbl find/replace allocate nothing" `Quick test_itbl_no_alloc;
     Alcotest.test_case "rng bool bias" `Quick test_rng_bool_bias;
     Alcotest.test_case "rng invalid bound" `Quick test_rng_invalid;
     Alcotest.test_case "weighted index" `Quick test_weighted_index;
