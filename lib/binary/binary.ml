@@ -65,8 +65,10 @@ let func_of_addr b addr =
   in
   scan 0
 
-(* Sorted (range_start, fid) index for fast address->function resolution. *)
-type addr_index = (int * int * int) array (* start, end_exclusive, fid *)
+(* Sorted range index for fast address->function resolution: three flat
+   [int array]s (start, exclusive end, fid), sorted by start, so a lookup
+   is a binary search over unboxed ints that allocates nothing. *)
+type addr_index = { ix_start : int array; ix_end : int array; ix_fid : int array }
 
 let build_addr_index b =
   let ranges =
@@ -76,21 +78,21 @@ let build_addr_index b =
     |> Array.of_list
   in
   Array.sort (fun (a, _, _) (b, _, _) -> compare a b) ranges;
-  ranges
+  { ix_start = Array.map (fun (s, _, _) -> s) ranges;
+    ix_end = Array.map (fun (_, e, _) -> e) ranges;
+    ix_fid = Array.map (fun (_, _, f) -> f) ranges }
 
-let index_lookup (idx : addr_index) addr =
-  let lo = ref 0 and hi = ref (Array.length idx - 1) and found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let s, e, fid = idx.(mid) in
-    if addr < s then hi := mid - 1
-    else if addr >= e then lo := mid + 1
-    else begin
-      found := Some fid;
-      lo := !hi + 1
-    end
-  done;
-  !found
+(* Top-level recursion (no closure per call) over the index's [int array]s,
+   so every compare is an integer compare. *)
+let rec search (idx : addr_index) addr lo hi =
+  if lo > hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    if addr < Array.unsafe_get idx.ix_start mid then search idx addr lo (mid - 1)
+    else if addr >= Array.unsafe_get idx.ix_end mid then search idx addr (mid + 1) hi
+    else Array.unsafe_get idx.ix_fid mid
+
+let index_lookup idx addr = search idx addr 0 (Array.length idx.ix_start - 1)
 
 let find_symbol_by_name b name =
   let n = Array.length b.symbols in

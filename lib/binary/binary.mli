@@ -53,7 +53,10 @@ val func_of_addr : t -> int -> func_sym option
 type addr_index
 
 val build_addr_index : t -> addr_index
-val index_lookup : addr_index -> int -> int option
+
+(** [index_lookup idx addr] is the fid of the function whose range holds
+    [addr], or [-1] if none does. Allocates nothing. *)
+val index_lookup : addr_index -> int -> int
 
 val find_symbol_by_name : t -> string -> func_sym option
 val section_named : t -> string -> section option

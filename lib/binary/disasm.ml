@@ -8,8 +8,8 @@ open Ocolos_isa
 (* Symbolize a code address: "<name>" at entries, "<name>+0xoff>" inside. *)
 let symbolize (b : Binary.t) index addr =
   match Binary.index_lookup index addr with
-  | None -> Fmt.str "0x%x" addr
-  | Some fid ->
+  | -1 -> Fmt.str "0x%x" addr
+  | fid ->
     let s = b.Binary.symbols.(fid) in
     if addr = s.Binary.fs_entry then Fmt.str "<%s>" s.Binary.fs_name
     else Fmt.str "<%s+0x%x>" s.Binary.fs_name (addr - s.Binary.fs_entry)

@@ -83,15 +83,14 @@ let partition_profile (binary : Binary.t) (profile : Profile.t) =
   in
   Hashtbl.iter
     (fun (from_addr, to_addr) count ->
-      match (Binary.index_lookup index from_addr, Binary.index_lookup index to_addr) with
-      | Some f1, Some f2 when f1 = f2 -> push branches f1 (from_addr, to_addr, count)
-      | _, _ -> ())
+      let f1 = Binary.index_lookup index from_addr in
+      if f1 >= 0 && f1 = Binary.index_lookup index to_addr then
+        push branches f1 (from_addr, to_addr, count))
     profile.Profile.branches;
   Hashtbl.iter
     (fun (start_addr, end_addr) count ->
-      match Binary.index_lookup index start_addr with
-      | Some f -> push ranges f (start_addr, end_addr, count)
-      | None -> ())
+      let f = Binary.index_lookup index start_addr in
+      if f >= 0 then push ranges f (start_addr, end_addr, count))
     profile.Profile.ranges;
   (branches, ranges)
 
@@ -278,7 +277,7 @@ let run ?(config = default_config) ?extern_entry ?fault ~(binary : Binary.t)
   in
   let entry_fid =
     let index = Binary.build_addr_index binary in
-    Option.value ~default:0 (Binary.index_lookup index binary.Binary.entry)
+    Int.max 0 (Binary.index_lookup index binary.Binary.entry)
   in
   let program =
     { Ir.funcs; vtables = [||]; entry_fid; globals_words = 0; global_init = [] }

@@ -248,7 +248,7 @@ let reconstructor (binary : Binary.t) =
     reconstruct ~fid ~entry:sym.Binary.fs_entry
       ~read_code:(fun addr -> Binary.find_instr binary addr)
       ~read_data:(fun addr -> Hashtbl.find_opt data_init addr)
-      ~in_function:(fun addr -> Binary.index_lookup index addr = Some fid)
+      ~in_function:(fun addr -> Binary.index_lookup index addr = fid)
       ~fid_of_entry:(fun addr -> Hashtbl.find_opt entry_of addr)
       ~fname:sym.Binary.fs_name
 

@@ -117,7 +117,7 @@ let attach ?(config = default_config) (proc : Proc.t) =
     Binary.direct_call_sites original
     |> List.filter_map (fun (site, target) ->
            match (Binary.index_lookup index site, Hashtbl.find_opt entry_fid target) with
-           | Some owner, Some callee -> Some (site, owner, callee)
+           | owner, Some callee when owner >= 0 -> Some (site, owner, callee)
            | _, _ -> None)
     |> Array.of_list
   in

@@ -24,7 +24,7 @@ type branch_kind = Cond | Jump | IndJump | DirectCall | IndCall | Return
 
 type hooks = {
   mutable on_taken_branch :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> cycles:float -> unit) option;
+    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> unit) option;
   mutable translate_fp : (int -> int) option;
       (* wrapFuncPtrCreation: rewrites the value materialized by FpCreate *)
 }
@@ -41,9 +41,7 @@ let fault_unmapped (thread : Thread.t) ~pc =
 let notify_branch hooks (thread : Thread.t) ~from_addr ~to_addr ~kind =
   match hooks.on_taken_branch with
   | None -> ()
-  | Some f ->
-    f ~tid:thread.Thread.tid ~from_addr ~to_addr ~kind
-      ~cycles:(Ocolos_uarch.Core.cycles thread.Thread.core)
+  | Some f -> f ~tid:thread.Thread.tid ~from_addr ~to_addr ~kind
 
 (* The shared semantic kernel: execute exactly one already-fetched-and-sized
    instruction on [thread]. Event order is the contract both engines rely on

@@ -17,7 +17,7 @@ type branch_kind = Cond | Jump | IndJump | DirectCall | IndCall | Return
 
 type hooks = {
   mutable on_taken_branch :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> cycles:float -> unit)
+    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> unit)
     option;
   mutable translate_fp : (int -> int) option;
       (** the wrapFuncPtrCreation callback: rewrites values materialized by

@@ -22,7 +22,7 @@ type branch_kind = Block_engine.branch_kind =
 
 type hooks = Block_engine.hooks = {
   mutable on_taken_branch :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> cycles:float -> unit) option;
+    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> unit) option;
   mutable translate_fp : (int -> int) option;
       (* wrapFuncPtrCreation: rewrites the value materialized by FpCreate *)
 }

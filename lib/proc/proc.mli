@@ -11,8 +11,12 @@ type branch_kind = Cond | Jump | IndJump | DirectCall | IndCall | Return
 
 type hooks = {
   mutable on_taken_branch :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> cycles:float -> unit)
+    (tid:int -> from_addr:int -> to_addr:int -> kind:branch_kind -> unit)
     option;
+      (** called on every taken transfer, after the core has charged it and
+          before the thread's pc moves. A hook that needs the thread's cycle
+          count reads [threads.(tid).core] itself: nothing per branch is
+          boxed for hooks that do not. *)
   mutable translate_fp : (int -> int) option;
       (** the wrapFuncPtrCreation callback: rewrites values materialized by
           [FpCreate] (paper Section IV-C2) *)

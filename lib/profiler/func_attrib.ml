@@ -55,8 +55,8 @@ let drain session (binary : Binary.t) =
   Hashtbl.iter
     (fun addr (c : counts) ->
       match Binary.index_lookup index addr with
-      | None -> ()
-      | Some fid ->
+      | -1 -> ()
+      | fid ->
         let acc =
           match Hashtbl.find_opt per_fid fid with
           | Some acc -> acc

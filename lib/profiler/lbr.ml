@@ -2,29 +2,43 @@
 
    Models Intel's LBR facility (Section II-A of the paper): the 32 most
    recent taken control transfers, recorded as (source PC, target) pairs.
-   Software samples the ring to reconstruct hot control-flow paths. *)
+   Software samples the ring to reconstruct hot control-flow paths.
 
-type entry = { from_addr : int; to_addr : int }
+   [record] runs on every taken branch while sampling is attached, so the
+   ring is two [int array]s written in place: recording allocates nothing.
+   A snapshot is one flat [int array] of interleaved (from, to) pairs,
+   oldest first — the only representation of a sampled batch. *)
 
 type t = {
-  slots : entry array;
+  from_addrs : int array;
+  to_addrs : int array;
   mutable head : int; (* next write position *)
   mutable filled : int;
 }
 
 let capacity = 32
 
-let create () = { slots = Array.make capacity { from_addr = 0; to_addr = 0 }; head = 0; filled = 0 }
+let create () =
+  { from_addrs = Array.make capacity 0; to_addrs = Array.make capacity 0; head = 0; filled = 0 }
 
 let record t ~from_addr ~to_addr =
-  t.slots.(t.head) <- { from_addr; to_addr };
-  t.head <- (t.head + 1) mod capacity;
-  t.filled <- min capacity (t.filled + 1)
+  let h = t.head in
+  Array.unsafe_set t.from_addrs h from_addr;
+  Array.unsafe_set t.to_addrs h to_addr;
+  t.head <- (h + 1) mod capacity;
+  if t.filled < capacity then t.filled <- t.filled + 1
 
-(* Entries oldest-first, as a sample snapshot. *)
+(* Entries oldest-first, interleaved (from, to). *)
 let snapshot t =
-  Array.init t.filled (fun i ->
-      t.slots.((t.head + capacity - t.filled + i) mod capacity))
+  let n = t.filled in
+  let out = Array.make (2 * n) 0 in
+  let first = t.head + capacity - n in
+  for i = 0 to n - 1 do
+    let slot = (first + i) mod capacity in
+    out.(2 * i) <- t.from_addrs.(slot);
+    out.((2 * i) + 1) <- t.to_addrs.(slot)
+  done;
+  out
 
 let clear t =
   t.head <- 0;
@@ -39,15 +53,11 @@ let clear t =
 
 (* Keep the newest [ceil (n/2)] entries (the oldest transfers are the ones
    a short read loses first). *)
-let truncate_batch (entries : entry array) =
-  let n = Array.length entries in
+let truncate_batch batch =
+  let n = Array.length batch / 2 in
   let keep = (n + 1) / 2 in
-  Array.sub entries (n - keep) keep
+  Array.sub batch (2 * (n - keep)) (2 * keep)
 
 (* Scramble every entry's addresses with a fixed involution; corrupted
    records land outside any mapped symbol and must be dropped downstream. *)
-let corrupt_batch (entries : entry array) =
-  Array.map
-    (fun e ->
-      { from_addr = e.from_addr lxor 0x5A5A_5A5A; to_addr = e.to_addr lxor 0x5A5A_5A5A })
-    entries
+let corrupt_batch batch = Array.map (fun a -> a lxor 0x5A5A_5A5A) batch

@@ -4,7 +4,12 @@
    every [sample_period] core cycles the ring is snapshotted (a PMI), which
    also charges a small overhead to the sampled thread — this is what
    produces the modest throughput dip during profiling (region 2 of the
-   paper's Fig. 7). *)
+   paper's Fig. 7).
+
+   The hook runs on every taken branch of every thread, so its common path
+   (no PMI due) allocates nothing: the LBR ring is written in place, and
+   the PMI test reads the thread's core directly rather than taking a
+   cycle count as a float argument, which would be boxed per branch. *)
 
 type config = {
   sample_period : int; (* core cycles between PMIs, per thread *)
@@ -13,21 +18,23 @@ type config = {
 
 let default_config = { sample_period = 600; pmi_overhead = 60.0 }
 
-type sample = { s_tid : int; entries : Lbr.entry array }
+type sample = { s_tid : int; entries : int array (* flat (from, to) pairs, see Lbr *) }
 
 type session = {
   proc : Ocolos_proc.Proc.t;
   cfg : config;
   fault : Ocolos_util.Fault.t option;
   rings : Lbr.t array; (* per thread *)
-  next_sample : float array;
+  next_sample : float ref array;
+      (* per thread: the cycle count at which its next PMI fires. A [ref]
+         holds its float boxed, so handing it to [Core.below] on every
+         branch allocates nothing; it is reboxed only when a PMI moves it. *)
   mutable samples : sample list;
   mutable nsamples : int;
   mutable detached : bool; (* sampling hook already torn down (fault path) *)
   mutable killed : exn option; (* stashed Fault.Killed, re-raised at [stop] *)
   saved_hook :
-    (tid:int -> from_addr:int -> to_addr:int -> kind:Ocolos_proc.Proc.branch_kind ->
-    cycles:float -> unit)
+    (tid:int -> from_addr:int -> to_addr:int -> kind:Ocolos_proc.Proc.branch_kind -> unit)
     option;
   sp : Ocolos_obs.Trace.span option; (* open span over the sampling window *)
 }
@@ -84,8 +91,9 @@ let start ?(cfg = default_config) ?fault proc =
       rings = Array.init n (fun _ -> Lbr.create ());
       next_sample =
         Array.init n (fun i ->
-            Ocolos_uarch.Core.cycles proc.Ocolos_proc.Proc.threads.(i).Ocolos_proc.Thread.core
-            +. float_of_int cfg.sample_period);
+            ref
+              (Ocolos_uarch.Core.cycles proc.Ocolos_proc.Proc.threads.(i).Ocolos_proc.Thread.core
+              +. float_of_int cfg.sample_period));
       samples = [];
       nsamples = 0;
       detached = false;
@@ -102,14 +110,15 @@ let start ?(cfg = default_config) ?fault proc =
      an observer of the branch stream, not its consumer, and outer
      instrumentation — e.g. the chaos harness's trace recorder — must see
      every branch whether or not sampling is attached. *)
-  let hook ~tid ~from_addr ~to_addr ~kind ~cycles =
+  let hook ~tid ~from_addr ~to_addr ~kind =
     Lbr.record session.rings.(tid) ~from_addr ~to_addr;
-    (if cycles >= session.next_sample.(tid) then begin
-      session.next_sample.(tid) <- cycles +. float_of_int session.cfg.sample_period;
+    let core = session.proc.Ocolos_proc.Proc.threads.(tid).Ocolos_proc.Thread.core in
+    let next = session.next_sample.(tid) in
+    (* A PMI is due once [cycles >= !next] (cycle counts are never NaN). *)
+    (if not (Ocolos_uarch.Core.below core !next) then begin
+      next := Ocolos_uarch.Core.cycles core +. float_of_int session.cfg.sample_period;
       (* The interrupt fires regardless of what happens to the batch. *)
-      Ocolos_uarch.Core.stall
-        session.proc.Ocolos_proc.Proc.threads.(tid).Ocolos_proc.Thread.core
-        ~cycles:session.cfg.pmi_overhead ~category:`Backend;
+      Ocolos_uarch.Core.stall core ~cycles:session.cfg.pmi_overhead ~category:`Backend;
       match pmi_faults session with
       | `Drop -> ()
       | (`Keep | `Truncate | `Corrupt) as verdict ->
@@ -124,7 +133,7 @@ let start ?(cfg = default_config) ?fault proc =
         session.nsamples <- session.nsamples + 1
     end);
     match session.saved_hook with
-    | Some f -> f ~tid ~from_addr ~to_addr ~kind ~cycles
+    | Some f -> f ~tid ~from_addr ~to_addr ~kind
     | None -> ()
   in
   proc.Ocolos_proc.Proc.hooks.on_taken_branch <- Some hook;
@@ -156,4 +165,4 @@ let sample_count session = session.nsamples
 (* Total LBR records across samples (the raw profile volume; drives the
    perf2bolt conversion-cost model). *)
 let record_count samples =
-  List.fold_left (fun acc s -> acc + Array.length s.entries) 0 samples
+  List.fold_left (fun acc s -> acc + (Array.length s.entries / 2)) 0 samples

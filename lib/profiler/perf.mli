@@ -3,7 +3,10 @@
     Attaching installs a taken-branch hook feeding per-thread LBR rings;
     every [sample_period] core cycles the ring is snapshotted (a PMI),
     charging a small overhead to the sampled thread — the throughput dip of
-    the paper's Fig. 7 region 2. *)
+    the paper's Fig. 7 region 2.
+
+    The hook allocates nothing on a branch that does not trigger a PMI; a
+    PMI allocates its snapshot, one {!sample} and one list cell. *)
 
 type config = {
   sample_period : int;  (** core cycles between PMIs, per thread *)
@@ -12,7 +15,9 @@ type config = {
 
 val default_config : config
 
-type sample = { s_tid : int; entries : Lbr.entry array }
+(** One PMI's batch from thread [s_tid]: a flat {!Lbr.snapshot}, i.e.
+    interleaved (from, to) address pairs, oldest first. *)
+type sample = { s_tid : int; entries : int array }
 type session
 
 (** Attach to a (running or about-to-run) process. The caller keeps driving

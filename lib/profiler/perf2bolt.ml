@@ -17,56 +17,109 @@ open Ocolos_binary
                            symbols from a layout a prior replacement retired
      perf2bolt.aggregate   cut once per sample batch *)
 
+(* ---- staged aggregation ----
+
+   Conversion runs once per LBR record, so it counts into [stage]s — an
+   [Itbl] from an int key to a slot, with keys and counts in flat arrays in
+   first-seen order — and writes each [Profile] table once at the end,
+   adding the keys in that order with their final counts. A [Hashtbl]'s
+   shape depends only on the sequence of new-key insertions (a later
+   [replace] of a bound key updates it in place), so the tables come out
+   structurally identical to bumping each record straight into them, down
+   to iteration order, while the per-record path allocates nothing. *)
+
+type stage = {
+  slot_of : Ocolos_util.Itbl.t; (* key -> index into [keys]/[counts] *)
+  mutable keys : int array;
+  mutable counts : int array;
+  mutable n : int;
+}
+
+let stage () =
+  { slot_of = Ocolos_util.Itbl.create 256; keys = Array.make 256 0; counts = Array.make 256 0; n = 0 }
+
+let bump st key =
+  let slot = Ocolos_util.Itbl.find_default st.slot_of key ~default:(-1) in
+  if slot >= 0 then st.counts.(slot) <- st.counts.(slot) + 1
+  else begin
+    if st.n = Array.length st.keys then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      st.keys <- grow st.keys;
+      st.counts <- grow st.counts
+    end;
+    st.keys.(st.n) <- key;
+    st.counts.(st.n) <- 1;
+    Ocolos_util.Itbl.replace st.slot_of key st.n;
+    st.n <- st.n + 1
+  end
+
+(* Pair keys pack two non-negative values below 2^31 (code addresses and
+   fids, and their [Lbr.corrupt_batch] scrambles) into one int. *)
+let pair_bits = 31
+
+let pack a b =
+  if (a lor b) lsr pair_bits <> 0 then
+    invalid_arg (Printf.sprintf "Perf2bolt: address pair (0x%x, 0x%x) exceeds 31 bits" a b);
+  (a lsl pair_bits) lor b
+
+let flush_pairs st tbl =
+  let mask = (1 lsl pair_bits) - 1 in
+  for i = 0 to st.n - 1 do
+    let k = st.keys.(i) in
+    Hashtbl.add tbl (k lsr pair_bits, k land mask) st.counts.(i)
+  done
+
 let convert ~(binary : Binary.t) ?fault (samples : Perf.sample list) : Profile.t =
   Ocolos_obs.Trace.span "perf2bolt.convert" @@ fun conv_sp ->
   let cut name = match fault with None -> () | Some f -> Ocolos_util.Fault.cut f name in
   cut "perf2bolt.stale_syms";
-  let profile = Profile.create () in
   let index = Binary.build_addr_index binary in
-  let fid_of addr = Binary.index_lookup index addr in
   let entry_of_fid = Hashtbl.create 256 in
   Array.iter
     (fun s -> Hashtbl.replace entry_of_fid s.Binary.fs_entry s.Binary.fs_fid)
     binary.Binary.symbols;
+  let branches = stage () and ranges = stage () and calls = stage () and funcs = stage () in
   List.iter
     (fun (s : Perf.sample) ->
       cut "perf2bolt.aggregate";
-      let entries = s.Perf.entries in
-      Array.iteri
-        (fun i (e : Lbr.entry) ->
-          Profile.add_branch profile ~from_addr:e.Lbr.from_addr ~to_addr:e.Lbr.to_addr 1;
-          let fid_from = fid_of e.Lbr.from_addr and fid_to = fid_of e.Lbr.to_addr in
-          (match fid_from with
-          | Some f -> Profile.add_func_record profile f 1
-          | None -> ());
-          (match fid_to with
-          | Some f when fid_from <> Some f -> Profile.add_func_record profile f 1
-          | Some _ | None -> ());
-          (* A call edge: the source instruction is a call, or the target is
-             a function entry reached by a non-return transfer. *)
-          (match (fid_from, fid_to) with
-          | Some caller, Some callee ->
-            let is_call =
-              match Binary.find_instr binary e.Lbr.from_addr with
-              | Some (Ocolos_isa.Instr.Call _) | Some (Ocolos_isa.Instr.CallInd _) -> true
-              | Some _ -> false
-              | None -> Hashtbl.mem entry_of_fid e.Lbr.to_addr && caller <> callee
-            in
-            if is_call then Profile.add_call profile ~caller ~callee 1
-          | _, _ -> ());
-          (* Fallthrough range between consecutive taken branches. *)
-          if i + 1 < Array.length entries then begin
-            let next = entries.(i + 1) in
-            let range_start = e.Lbr.to_addr and range_end = next.Lbr.from_addr in
-            if range_start <= range_end then
-              match (fid_of range_start, fid_of range_end) with
-              | Some f1, Some f2 when f1 = f2 ->
-                Profile.add_range profile ~start_addr:range_start ~end_addr:range_end 1
-              | _, _ -> ()
-          end)
-        entries)
+      let e = s.Perf.entries in
+      let n = Array.length e / 2 in
+      for i = 0 to n - 1 do
+        let from_addr = e.(2 * i) and to_addr = e.((2 * i) + 1) in
+        bump branches (pack from_addr to_addr);
+        let fid_from = Binary.index_lookup index from_addr
+        and fid_to = Binary.index_lookup index to_addr in
+        if fid_from >= 0 then bump funcs fid_from;
+        if fid_to >= 0 && fid_to <> fid_from then bump funcs fid_to;
+        (* A call edge: the source instruction is a call, or the target is
+           a function entry reached by a non-return transfer. *)
+        if fid_from >= 0 && fid_to >= 0 then begin
+          let is_call =
+            match Hashtbl.find binary.Binary.code from_addr with
+            | Ocolos_isa.Instr.Call _ | Ocolos_isa.Instr.CallInd _ -> true
+            | _ -> false
+            | exception Not_found -> Hashtbl.mem entry_of_fid to_addr && fid_from <> fid_to
+          in
+          if is_call then bump calls (pack fid_from fid_to)
+        end;
+        (* Fallthrough range between consecutive taken branches: from this
+           target to the next source, when both lie in one function. *)
+        if i + 1 < n then begin
+          let range_end = e.(2 * (i + 1)) in
+          if to_addr <= range_end && fid_to >= 0 && fid_to = Binary.index_lookup index range_end
+          then bump ranges (pack to_addr range_end)
+        end
+      done)
     samples;
+  let profile = Profile.create () in
+  flush_pairs branches profile.Profile.branches;
+  flush_pairs ranges profile.Profile.ranges;
+  flush_pairs calls profile.Profile.calls;
+  for i = 0 to funcs.n - 1 do
+    Hashtbl.add profile.Profile.func_records funcs.keys.(i) funcs.counts.(i)
+  done;
   let records = Perf.record_count samples in
+  profile.Profile.total_records <- records;
   Ocolos_obs.Trace.set_attr conv_sp "records" (Ocolos_obs.Trace.I records);
   Ocolos_obs.Trace.set_attr conv_sp "branch_edges"
     (Ocolos_obs.Trace.I (Hashtbl.length profile.Profile.branches));

@@ -49,10 +49,10 @@ let by_function t (binary : Ocolos_binary.Binary.t) =
   Hashtbl.iter
     (fun addr count ->
       match Ocolos_binary.Binary.index_lookup index addr with
-      | Some fid ->
+      | -1 -> ()
+      | fid ->
         Hashtbl.replace per_fid fid
-          (count + Option.value ~default:0 (Hashtbl.find_opt per_fid fid))
-      | None -> ())
+          (count + Option.value ~default:0 (Hashtbl.find_opt per_fid fid)))
     t.samples;
   Hashtbl.fold
     (fun fid samples acc ->

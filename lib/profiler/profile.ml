@@ -48,8 +48,6 @@ let merge profiles =
     profiles;
   out
 
-(* Total taken-branch mass attributed within one function: used for hot
-   function selection. *)
 let is_empty t = Hashtbl.length t.branches = 0
 
 let pp_summary fmt t =

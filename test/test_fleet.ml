@@ -244,8 +244,7 @@ let differential_run mode =
   let buf = ref [] in
   proc.Proc.hooks.Proc.on_taken_branch <-
     Some
-      (fun ~tid ~from_addr ~to_addr ~kind ~cycles ->
-        ignore cycles;
+      (fun ~tid ~from_addr ~to_addr ~kind ->
         buf := (tid, from_addr, to_addr, kind) :: !buf);
   (* min_interval_s blocks any second campaign, so both controllers go
      quiet after the first replacement at exactly the same tick. *)

@@ -9,10 +9,13 @@ let test_lbr_ring () =
   for i = 1 to 5 do
     Ocolos_profiler.Lbr.record l ~from_addr:i ~to_addr:(i * 10)
   done;
+  (* A snapshot is flat: entry [i] is [(s.(2i), s.(2i+1))]. *)
   let s = Ocolos_profiler.Lbr.snapshot l in
-  Alcotest.(check int) "five entries" 5 (Array.length s);
-  Alcotest.(check int) "oldest first" 1 s.(0).Ocolos_profiler.Lbr.from_addr;
-  Alcotest.(check int) "newest last" 5 s.(4).Ocolos_profiler.Lbr.from_addr
+  Alcotest.(check int) "five entries" (2 * 5) (Array.length s);
+  Alcotest.(check int) "oldest first" 1 s.(0);
+  Alcotest.(check int) "oldest target" 10 s.(1);
+  Alcotest.(check int) "newest last" 5 s.(2 * 4);
+  Alcotest.(check int) "newest target" 50 s.((2 * 4) + 1)
 
 let test_lbr_wraps_at_capacity () =
   let l = Ocolos_profiler.Lbr.create () in
@@ -21,8 +24,9 @@ let test_lbr_wraps_at_capacity () =
     Ocolos_profiler.Lbr.record l ~from_addr:i ~to_addr:i
   done;
   let s = Ocolos_profiler.Lbr.snapshot l in
-  Alcotest.(check int) "capped" cap (Array.length s);
-  Alcotest.(check int) "oldest is 11" 11 s.(0).Ocolos_profiler.Lbr.from_addr;
+  Alcotest.(check int) "capped" (2 * cap) (Array.length s);
+  Alcotest.(check int) "oldest is 11" 11 s.(0);
+  Alcotest.(check int) "newest is cap + 10" (cap + 10) s.((2 * cap) - 2);
   Ocolos_profiler.Lbr.clear l;
   Alcotest.(check int) "cleared" 0 (Array.length (Ocolos_profiler.Lbr.snapshot l))
 
@@ -81,11 +85,11 @@ let test_perf2bolt_against_ground_truth () =
   let perf_hook = proc.Ocolos_proc.Proc.hooks.on_taken_branch in
   proc.Ocolos_proc.Proc.hooks.on_taken_branch <-
     Some
-      (fun ~tid ~from_addr ~to_addr ~kind ~cycles ->
+      (fun ~tid ~from_addr ~to_addr ~kind ->
         (match Hashtbl.find_opt census (from_addr, to_addr) with
         | Some v -> Hashtbl.replace census (from_addr, to_addr) (v + 1)
         | None -> Hashtbl.add census (from_addr, to_addr) 1);
-        match perf_hook with Some f -> f ~tid ~from_addr ~to_addr ~kind ~cycles | None -> ());
+        match perf_hook with Some f -> f ~tid ~from_addr ~to_addr ~kind | None -> ());
   Ocolos_proc.Proc.run ~cycle_limit:200_000.0 proc;
   proc.Ocolos_proc.Proc.hooks.on_taken_branch <- perf_hook;
   let samples = Ocolos_profiler.Perf.stop session in
@@ -137,6 +141,187 @@ let test_topdown_check () =
   Alcotest.(check bool) "interval instrs positive" true
     (v.Ocolos_profiler.Topdown_check.interval.Ocolos_uarch.Counters.instructions > 0)
 
+(* ---- profile equivalence: staged perf2bolt vs the tuple-keyed converter ---- *)
+
+module Binary = Ocolos_binary.Binary
+module Perf = Ocolos_profiler.Perf
+module Perf2bolt = Ocolos_profiler.Perf2bolt
+module Profile = Ocolos_profiler.Profile
+
+(* The converter as it was before staged aggregation, kept as an oracle:
+   every record bumps the [Profile] tables directly through tuple keys and
+   option-returning lookups. Only the batch access is adapted to the flat
+   snapshot. *)
+let reference_convert ~(binary : Binary.t) (samples : Perf.sample list) =
+  let profile = Profile.create () in
+  let index = Binary.build_addr_index binary in
+  let fid_of addr = match Binary.index_lookup index addr with -1 -> None | f -> Some f in
+  let entry_of_fid = Hashtbl.create 256 in
+  Array.iter
+    (fun s -> Hashtbl.replace entry_of_fid s.Binary.fs_entry s.Binary.fs_fid)
+    binary.Binary.symbols;
+  List.iter
+    (fun (s : Perf.sample) ->
+      let e = s.Perf.entries in
+      let n = Array.length e / 2 in
+      for i = 0 to n - 1 do
+        let from_addr = e.(2 * i) and to_addr = e.((2 * i) + 1) in
+        Profile.add_branch profile ~from_addr ~to_addr 1;
+        let fid_from = fid_of from_addr and fid_to = fid_of to_addr in
+        (match fid_from with Some f -> Profile.add_func_record profile f 1 | None -> ());
+        (match fid_to with
+        | Some f when fid_from <> Some f -> Profile.add_func_record profile f 1
+        | Some _ | None -> ());
+        (match (fid_from, fid_to) with
+        | Some caller, Some callee ->
+          let is_call =
+            match Binary.find_instr binary from_addr with
+            | Some (Ocolos_isa.Instr.Call _) | Some (Ocolos_isa.Instr.CallInd _) -> true
+            | Some _ -> false
+            | None -> Hashtbl.mem entry_of_fid to_addr && caller <> callee
+          in
+          if is_call then Profile.add_call profile ~caller ~callee 1
+        | _, _ -> ());
+        if i + 1 < n then begin
+          let range_start = to_addr and range_end = e.(2 * (i + 1)) in
+          if range_start <= range_end then
+            match (fid_of range_start, fid_of range_end) with
+            | Some f1, Some f2 when f1 = f2 ->
+              Profile.add_range profile ~start_addr:range_start ~end_addr:range_end 1
+            | _, _ -> ()
+        end
+      done)
+    samples;
+  profile
+
+(* Binding lists in [Hashtbl.fold] order: equal lists mean equal contents
+   and equal iteration order, which is what BOLT's output depends on. *)
+let bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+
+let check_same_profile what (expected : Profile.t) (got : Profile.t) =
+  let pairs = Alcotest.(list (pair (pair int int) int)) in
+  Alcotest.check pairs (what ^ ": branches") (bindings expected.Profile.branches)
+    (bindings got.Profile.branches);
+  Alcotest.check pairs (what ^ ": ranges") (bindings expected.Profile.ranges)
+    (bindings got.Profile.ranges);
+  Alcotest.check pairs (what ^ ": calls") (bindings expected.Profile.calls)
+    (bindings got.Profile.calls);
+  Alcotest.(check (list (pair int int))) (what ^ ": func_records")
+    (bindings expected.Profile.func_records) (bindings got.Profile.func_records);
+  Alcotest.(check int) (what ^ ": total_records") expected.Profile.total_records
+    got.Profile.total_records
+
+let horizon s = Ocolos_sim.Clock.seconds_to_cycles s
+
+(* Sample [w] on [input] for [seconds] of simulated time after a short
+   warm-up, optionally under a perf fault schedule. *)
+let sample_app ?fault ?(warmup = 0.05) ~seconds w input =
+  let proc = Workload.launch w ~input:(Workload.find_input w input) in
+  Ocolos_proc.Proc.run ~cycle_limit:(horizon warmup) proc;
+  let session = Perf.start ?fault proc in
+  Ocolos_proc.Proc.run ~cycle_limit:(horizon (warmup +. seconds)) proc;
+  Perf.stop session
+
+let test_profile_equivalence_apps () =
+  List.iter
+    (fun (name, w, input) ->
+      let samples = sample_app ~seconds:0.1 w input in
+      Alcotest.(check bool) (name ^ ": sampled") true (Perf.record_count samples > 1_000);
+      let binary = w.Workload.binary in
+      check_same_profile name (reference_convert ~binary samples)
+        (Perf2bolt.convert ~binary samples))
+    [ ("memcached", Apps.memcached_like (), "set10_get90");
+      ("mysql", Apps.mysql_like (), "read_only");
+      ("verilator", Apps.verilator_like (), "dhrystone") ]
+
+(* Truncated and corrupted batches: corrupted addresses resolve to no
+   symbol, truncated ones shorten the fallthrough chains. *)
+let test_profile_equivalence_degraded () =
+  let w = Apps.memcached_like () in
+  let fault = Ocolos_util.Fault.create ~seed:3 () in
+  Ocolos_util.Fault.arm fault "perf.sample_truncate" (Ocolos_util.Fault.Every 3);
+  Ocolos_util.Fault.arm fault "perf.sample_corrupt" (Ocolos_util.Fault.Every 4);
+  let samples = sample_app ~fault ~seconds:0.05 w "set10_get90" in
+  let full = 2 * Ocolos_profiler.Lbr.capacity in
+  Alcotest.(check bool) "some batches truncated" true
+    (List.exists (fun (s : Perf.sample) -> Array.length s.Perf.entries < full) samples);
+  let binary = w.Workload.binary in
+  check_same_profile "degraded" (reference_convert ~binary samples)
+    (Perf2bolt.convert ~binary samples)
+
+(* Three replicas' decimated streams aggregated by [convert_sources]. *)
+let test_profile_equivalence_sources () =
+  let w = Apps.memcached_like () in
+  let samples = sample_app ~seconds:0.05 w "set10_get90" in
+  let sources = List.init 3 (fun phase -> Perf2bolt.decimate ~keep_every:3 ~phase samples) in
+  let binary = w.Workload.binary in
+  check_same_profile "3 replicas" (reference_convert ~binary (List.concat sources))
+    (Perf2bolt.convert_sources ~binary sources)
+
+(* Pair keys are packed into one int: an address outside the packing
+   range is refused, not folded into another key. *)
+let test_perf2bolt_rejects_wide_address () =
+  let w = Apps.tiny ~tx_limit:None () in
+  let sample = { Perf.s_tid = 0; entries = [| 1 lsl 40; 0x100 |] } in
+  match Perf2bolt.convert ~binary:w.Workload.binary [ sample ] with
+  | _ -> Alcotest.fail "a 41-bit address was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* ---- allocation: the profiling path is allocation-free per event ---- *)
+
+let test_lbr_record_alloc () =
+  let l = Ocolos_profiler.Lbr.create () in
+  let i = ref 0 in
+  Alloc.check_zero "Lbr.record" (fun () ->
+      incr i;
+      Ocolos_profiler.Lbr.record l ~from_addr:!i ~to_addr:(!i + 7))
+
+(* A memcached window with perf attached, after the campaign warm-up. What
+   remains is the per-PMI snapshot (a 64-int batch, its sample record and
+   list cell every [sample_period] cycles); a boxed float or an entry
+   record per taken branch fails the bound. *)
+let perf_window_bound = 0.2
+
+let test_perf_window_alloc () =
+  let w = Apps.memcached_like () in
+  let proc = Workload.launch w ~input:(Workload.find_input w "set10_get90") in
+  Ocolos_proc.Proc.run ~cycle_limit:(horizon 0.6) proc;
+  let session = Perf.start proc in
+  let i0 = proc.Ocolos_proc.Proc.instret in
+  let w0 = Gc.minor_words () in
+  Ocolos_proc.Proc.run ~cycle_limit:(horizon 0.8) proc;
+  let words = Gc.minor_words () -. w0 in
+  let instrs = proc.Ocolos_proc.Proc.instret - i0 in
+  ignore (Perf.stop session);
+  Alcotest.(check bool) "window ran" true (instrs > 500_000);
+  let per_instr = words /. float_of_int instrs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words/instr < %.2f" per_instr perf_window_bound)
+    true (per_instr < perf_window_bound)
+
+(* Total words (minor + major - promoted, so arrays allocated straight on
+   the major heap count too) per LBR record converted. The window is long
+   enough (~80k records) that the per-convert fixed cost — address index,
+   staging tables, the output profile — is a fraction of a word per
+   record; a tuple key or option per record fails the bound. *)
+let test_perf2bolt_alloc () =
+  let w = Apps.memcached_like () in
+  let samples = sample_app ~seconds:0.4 w "set10_get90" in
+  let binary = w.Workload.binary in
+  ignore (Perf2bolt.convert ~binary samples);
+  let total () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = total () in
+  ignore (Perf2bolt.convert ~binary samples);
+  let words = total () -. w0 in
+  let records = Perf.record_count samples in
+  let per_record = words /. float_of_int records in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words/record < 1 (%d records)" per_record records)
+    true (per_record < 1.0)
+
 let suite =
   [ Alcotest.test_case "lbr ring" `Quick test_lbr_ring;
     Alcotest.test_case "lbr wraps" `Quick test_lbr_wraps_at_capacity;
@@ -145,4 +330,15 @@ let suite =
     Alcotest.test_case "profile merge" `Quick test_profile_merge;
     Alcotest.test_case "perf2bolt vs ground truth" `Quick test_perf2bolt_against_ground_truth;
     Alcotest.test_case "perf2bolt call edges" `Quick test_perf2bolt_call_edges;
-    Alcotest.test_case "topdown check" `Quick test_topdown_check ]
+    Alcotest.test_case "topdown check" `Quick test_topdown_check;
+    Alcotest.test_case "perf2bolt = reference: memcached, mysql, verilator" `Quick
+      test_profile_equivalence_apps;
+    Alcotest.test_case "perf2bolt = reference: truncated/corrupted batches" `Quick
+      test_profile_equivalence_degraded;
+    Alcotest.test_case "perf2bolt = reference: 3-replica convert_sources" `Quick
+      test_profile_equivalence_sources;
+    Alcotest.test_case "perf2bolt rejects unpackable addresses" `Quick
+      test_perf2bolt_rejects_wide_address;
+    Alcotest.test_case "Lbr.record allocates nothing" `Quick test_lbr_record_alloc;
+    Alcotest.test_case "perf window allocation bounded" `Quick test_perf_window_alloc;
+    Alcotest.test_case "perf2bolt < 1 word per record" `Quick test_perf2bolt_alloc ]

@@ -390,7 +390,7 @@ let test_fleet_restart_carries_quarantine () =
 (* ---- satellite: Perf2bolt.decimate edge cases ---- *)
 
 let sample i =
-  { Perf.s_tid = i; entries = [| { Lbr.from_addr = 100 + i; to_addr = 200 + i } |] }
+  { Perf.s_tid = i; entries = [| 100 + i; 200 + i |] }
 
 let test_decimate_edges () =
   let samples = List.init 3 sample in
